@@ -41,6 +41,9 @@ LAYERS = (
     "api.app",
     "api.event_loop",
 )
+#: Outermost wrappers, whose self time absorbs whatever no inner layer names:
+#: a growing share of them means an inner entry point lost its wrapper.
+CATCH_ALL = ("engine.fit", "engine.partial_fit", "api.event_loop")
 #: The load generator's own time: named so it can be excluded from the
 #: wall that coverage is measured against.
 CLIENT = "bench.client"
@@ -91,9 +94,16 @@ class LayerClock:
         if produced and not (stack and stack[-1][0] == frame[0]):
             stats.calls += 1
 
-    def covered_s(self) -> float:
-        """Busy time attributed to the program's layers."""
-        return sum(self.stats[name].busy_s for name in LAYERS)
+    def busy(self) -> dict[str, float]:
+        return {name: stats.busy_s for name, stats in self.stats.items()}
+
+    def attributed_since(self, before: dict[str, float]) -> dict[str, float]:
+        """Busy seconds since ``before``: all program layers, and the catch-all ones."""
+        delta = {name: stats.busy_s - before[name] for name, stats in self.stats.items()}
+        return {
+            "covered_s": sum(delta[name] for name in LAYERS),
+            "catch_all_s": sum(delta[name] for name in CATCH_ALL),
+        }
 
     def track_cache(self, cache: Any) -> None:
         """Follow a new snapshot's LRU cache; the one followed so far is retired."""

@@ -2,7 +2,7 @@
 
 Usage (from the repository root)::
 
-    python3 perfbench/run.py --workload export --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload export --seed 1 --seconds 15 --trace 0
 
 Each run generates its inputs from ``--seed`` (``gen.py``, numpy only), runs
 the workload in fresh worker processes against ``src/``, checks the outputs,
@@ -47,10 +47,11 @@ STREAM_ENTITIES = 34_000
 BOOTSTRAP_ENTITIES = 1_000
 SERVE_FIT_SEED = 0  # the serve artifact is the export corpus fitted with this seed
 SERVE_PROBE_REQUESTS = 400
-SETUP_PROBES = 5  # `repro-truth serve` start-ups timed per serve run
+SETUP_PROBES = 5  # start-ups timed per export and serve run
 RTT_REQUESTS = 500
 ACCURACY_FLOOR = 0.8  # generated corpora score ~0.97 at the default scale
-MIN_REPS = 3
+COVERAGE_FLOOR = 0.95  # share of timed wall the named layers must explain at --scale 1
+MIN_REPS = 2  # stream passes per run, however long they take
 WORKER_TIMEOUT_S = 150
 
 #: End-to-end metrics: name -> (unit, per-workload meaning).  Every workload
@@ -62,7 +63,7 @@ END_TO_END = {
         "stream": "fresh interpreter -> import + store open + bootstrap fit",
         "serve": "`repro-truth serve ART --port 0 --rate 0` -> its serving line",
     }),
-    "peak_rss_mib": ("MiB", {w: "peak RSS of the workload process" for w in ("export", "stream", "serve")}),
+    "peak_rss_mib": ("MiB", {w: "peak RSS of the workload process after its set-up" for w in ("export", "stream", "serve")}),
     "accuracy": ("ratio", {
         "export": "ground-truth facts decided correctly at threshold 0.5",
         "stream": "ground-truth facts decided correctly at threshold 0.5",
@@ -80,7 +81,7 @@ END_TO_END = {
     }),
     "write_p50_ms": ("ms", {
         "export": "median to_artifact + save",
-        "stream": "median ClaimStore.append of the whole corpus",
+        "stream": "median ClaimStore.append of one 5000-triple generation",
         "serve": "median /ingest latency",
     }),
 }
@@ -115,6 +116,7 @@ PER_LAYER = {
     "api.event_loop_s": ("s", "serve items_per_s, op_p50_ms"),
     "api.server.rtt_ms": ("ms", "loopback cost outside the in-process numbers (serve)"),
     "coverage": ("ratio", "named layer time / timed wall; must stay >= 0.95"),
+    "catch_all_share": ("ratio", "self time of engine.fit, engine.partial_fit, api.event_loop / timed wall"),
     "trace_overhead": ("ratio", "traced wall / untraced wall - 1"),
 }
 #: Layer -> name of its busy-time metric (busy seconds unless noted).
@@ -280,35 +282,43 @@ def repeat(spec: dict, work: Path, seconds: float, min_reps: int) -> list[tuple[
 
 def measure_batch(workload: str, args: argparse.Namespace, inputs: dict, work: Path, trace: bool, failures: list[str]) -> dict:
     spec = dict(inputs, workload=workload, seed=args.seed, trace=trace)
-    runs = repeat(spec, work, args.seconds, MIN_REPS if not trace else 2)
+    if workload == "export":
+        # One process exports back to back; start-up is probed separately.
+        runs = [run_worker(dict(spec, seconds=args.seconds, out=str(work / "artifact")), work)]
+        setups = [] if trace else [run_worker(dict(spec, workload="setup"), work)[0] for _ in range(SETUP_PROBES)]
+    else:
+        runs = repeat(spec, work, args.seconds, MIN_REPS)
+        setups = [setup for setup, _ in runs]
     results = [result for _, result in runs]
     digests = {result["digest"] for result in results}
-    fail_unless(len(digests) == 1, f"{workload}: scores differ across repeats", failures)
+    fail_unless(
+        len(digests) == 1 and all(r.get("repeatable", True) for r in results),
+        f"{workload}: scores differ across repeats",
+        failures,
+    )
     fail_unless(all(r["scored_all"] for r in results), f"{workload}: not every fact/entity was scored", failures)
     acc = median([r["accuracy"] for r in results])
     fail_unless(acc >= ACCURACY_FLOOR, f"{workload}: accuracy {acc:.4f} below floor {ACCURACY_FLOOR}", failures)
     if workload == "stream":
         fail_unless(all(r["rows_match"] for r in results), "stream: store rows != triples appended", failures)
-    walls = [r["timed_s"] for r in results]
+    ops = [op for r in results for op in r["ops"]]
     if workload == "export":
-        ops = [r["ops"][0] for r in results]
-        items_per_s = inputs["triples"] / median(ops)
+        wall = median(ops)
         attempted = len(ops)
     else:
-        ops = [op for r in results for op in r["ops"]]
-        items_per_s = inputs["triples"] / median(walls)
-        attempted = len(ops) + len(results)  # batches + appends
+        wall = median([r["timed_s"] for r in results])
+        attempted = len(ops) + sum(len(r["writes"]) for r in results)  # batches + appends
     return {
         "runs": runs,
         "digest": digests.pop() if len(digests) == 1 else None,
         "attempted": attempted,
         "failed": 0,
-        "wall": median(walls),
+        "wall": wall,
         "metrics": {
-            "setup_s": median([setup for setup, _ in runs]),
+            "setup_s": median(setups) if setups else float("nan"),
             "peak_rss_mib": median([r["peak_rss_mib"] for r in results]),
             "accuracy": acc,
-            "items_per_s": items_per_s,
+            "items_per_s": inputs["triples"] / wall,
             "op_p50_ms": median(ops) * 1e3,
             "write_p50_ms": median([w for r in results for w in r["writes"]]) * 1e3,
         },
@@ -380,7 +390,7 @@ def serve_rtt_ms(inputs: dict, work: Path, in_process_s: float) -> float:
 # -- per-layer report ---------------------------------------------------------------------
 def layer_metrics(traced: dict, untraced: dict, rtt_ms: float) -> tuple[dict, dict]:
     results = [result for _, result in traced["runs"]]
-    reps = len(results)
+    reps = sum(r.get("reps", 1) for r in results)
     layers: dict[str, dict[str, float]] = {}
     counters: dict[str, float] = {}
     for result in results:
@@ -411,6 +421,7 @@ def layer_metrics(traced: dict, untraced: dict, rtt_ms: float) -> tuple[dict, di
     # The closed-loop clients are the benchmark's own code, not the program's.
     program_s = sum(r["timed_s"] - r.get("client_s", 0.0) for r in results)
     metrics["coverage"] = ratio(sum(r["covered_s"] for r in results), program_s)
+    metrics["catch_all_share"] = ratio(sum(r["catch_all_s"] for r in results), program_s)
     metrics["trace_overhead"] = traced["wall"] / untraced["wall"] - 1.0
     return metrics, layers
 
@@ -491,6 +502,12 @@ def run(args: argparse.Namespace, work: Path) -> tuple[dict, list[str]]:
         if workload == "serve":
             rtt_ms = serve_rtt_ms(inputs, work, traced["runs"][0][1]["point_p50_s"])
         metrics, layers = layer_metrics(traced, untraced, rtt_ms)
+        if args.scale >= 1:  # fixed per-call costs weigh more on smaller corpora
+            fail_unless(
+                metrics["coverage"] >= COVERAGE_FLOOR,
+                f"{workload}: coverage {metrics['coverage']:.4f} below {COVERAGE_FLOOR}",
+                failures,
+            )
         print("per-layer (traced run):")
         print(f"  {'layer':<28} {'calls':>10} {'failures':>9} {'busy_s':>12}")
         for name, stats in layers.items():
