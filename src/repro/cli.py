@@ -117,8 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--kernel",
         choices=["scalar", "blocked", "auto"],
         default=None,
-        help="Gibbs sweep kernel for sampling methods (exact-seed identical; "
-        "auto picks the fastest)",
+        help="deprecated and ignored: the Gibbs sweep backend (compiled C, "
+        "or the identical Python walk without a compiler) follows from the platform",
     )
     integrate.add_argument("--max-records", type=int, default=20, help="merged records to print")
     _add_execution_arguments(integrate)
@@ -155,8 +155,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--kernel",
         choices=["scalar", "blocked", "auto"],
         default=None,
-        help="Gibbs sweep kernel for sampling methods (exact-seed identical; "
-        "auto picks the fastest)",
+        help="deprecated and ignored: the Gibbs sweep backend (compiled C, "
+        "or the identical Python walk without a compiler) follows from the platform",
     )
     export.add_argument("--name", default=None, help="artifact name (defaults to the method)")
     _add_execution_arguments(export)

@@ -6,9 +6,9 @@ This package implements:
   distributed sensitivity and false-positive rate, latent per-fact truth,
   Bernoulli claim observations);
 * the collapsed Gibbs sampler of Section 5.2 / Algorithm 1, with burn-in and
-  thinning, running in time linear in the number of claims — in two
-  exact-seed bit-identical kernels: a scalar reference sweep and a blocked,
-  table-driven fast path (:mod:`repro.core.gibbs_vec`);
+  thinning, running in time linear in the number of claims — one table-driven
+  sweep with a compiled C backend and a bit-identical pure-Python reference
+  (:mod:`repro.core.gibbs_vec`);
 * MAP source-quality estimation of Section 5.3;
 * the incremental predictor LTMinc of Section 5.4 (Equation 3), which reuses
   learned source quality to score new claims without re-sampling;
@@ -20,7 +20,7 @@ from repro.core.base import SourceQualityTable, TruthMethod, TruthResult
 from repro.core.priors import BetaPrior, LTMPriors
 from repro.core.counts import SourceCounts
 from repro.core.gibbs import KERNELS, CollapsedGibbsSampler, GibbsConfig, GibbsTrace
-from repro.core.gibbs_vec import BlockSchedule, KernelTables
+from repro.core.gibbs_vec import KernelTables
 from repro.core.quality import estimate_source_quality, expected_confusion_counts
 from repro.core.model import LatentTruthModel
 from repro.core.incremental import IncrementalLTM, posterior_truth_probability
@@ -38,7 +38,6 @@ __all__ = [
     "GibbsConfig",
     "GibbsTrace",
     "KERNELS",
-    "BlockSchedule",
     "KernelTables",
     "LatentTruthModel",
     "IncrementalLTM",

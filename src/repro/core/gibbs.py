@@ -10,22 +10,19 @@ counts maintained by :class:`~repro.core.counts.SourceCounts`.
 Each sweep touches every claim exactly once, so a run of ``K`` iterations
 costs ``O(K * |C|)`` — the linear complexity the paper reports (Figure 6).
 
-Two kernels implement the sweep, selected by :attr:`GibbsConfig.kernel`:
-
-* ``"scalar"`` — the reference per-fact loop below.  All transcendentals are
-  precomputed into the shared :class:`~repro.core.gibbs_vec.KernelTables`, so
-  the hot loop is index gathers plus IEEE-754 adds.
-* ``"blocked"`` — :func:`repro.core.gibbs_vec.run_blocked`: a conflict-free
-  block schedule with a vectorised pre-pass and an adaptive dense table
-  walk.  For a fixed seed it is *bit-identical* to the scalar kernel (same
-  flips, same scores, same counts); the parity suite pins this on every
-  catalog dataset.
-* ``"auto"`` (default) — currently resolves to ``"blocked"``, the faster
-  kernel in every measured regime.
+One sweep engine runs it, with two backends of the same arithmetic
+(:mod:`repro.core.gibbs_vec`): a small C walk compiled on first use, and a
+pure-Python walk that is both the reference and the fallback wherever the C
+walk cannot be built or loaded.  For a fixed seed the two produce
+bit-identical chains — same flips, scores, counts and checkpoints — so the
+backend, reported as :attr:`GibbsTrace.kernel`, affects wall-clock only.
+There is no option to pick one; :attr:`GibbsConfig.kernel` survives only so
+configurations and artifacts that recorded a kernel keep loading.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -33,19 +30,22 @@ import numpy as np
 
 from repro.obs import get_tracer
 from repro.core.counts import SourceCounts
+from repro.core.gibbs_vec import KernelTables, backend_name, make_walk
 from repro.core.priors import LTMPriors
 from repro.data.dataset import ClaimMatrix
 from repro.exceptions import ConfigurationError, ModelError
 
 __all__ = ["GibbsConfig", "GibbsTrace", "CollapsedGibbsSampler", "KERNELS"]
 
-#: Accepted values of :attr:`GibbsConfig.kernel`.
+#: Accepted values of :attr:`GibbsConfig.kernel`.  ``"scalar"`` and
+#: ``"blocked"`` name kernels that no longer exist; they are deprecated
+#: aliases of ``"auto"``, kept so recorded configurations still load.
 KERNELS = ("scalar", "blocked", "auto")
 
 
 @dataclass(frozen=True)
 class GibbsConfig:
-    """Sampler schedule: iteration count, burn-in, thinning and kernel.
+    """Sampler schedule: iteration count, burn-in and thinning.
 
     Attributes
     ----------
@@ -59,9 +59,10 @@ class GibbsConfig:
         Seed of the sampler's random generator; fits are reproducible for a
         fixed seed.
     kernel:
-        Sweep implementation: ``"scalar"``, ``"blocked"`` or ``"auto"``
-        (pick the fastest).  Kernels are exact-seed bit-identical, so the
-        choice affects wall-clock only.
+        Deprecated and ignored: one of :data:`KERNELS`, accepted so recorded
+        configurations keep loading.  ``"scalar"`` and ``"blocked"`` warn.
+        The sweep backend follows from the platform (see
+        :meth:`resolved_kernel`), never from configuration.
     """
 
     iterations: int = 100
@@ -82,6 +83,13 @@ class GibbsConfig:
         if self.kernel not in KERNELS:
             raise ConfigurationError(
                 f"kernel must be one of {KERNELS}; got {self.kernel!r}"
+            )
+        if self.kernel != "auto":
+            warnings.warn(
+                f"kernel={self.kernel!r} is deprecated and ignored: the Gibbs sweep "
+                "backend follows from the platform",
+                DeprecationWarning,
+                stacklevel=3,
             )
 
     @classmethod
@@ -120,16 +128,13 @@ class GibbsConfig:
         return len(range(self.burn_in, self.iterations, self.thin))
 
     def resolved_kernel(self) -> str:
-        """The kernel that will actually run (``"auto"`` resolved).
+        """The sweep backend a fit runs: ``"compiled"`` or ``"python"``.
 
-        ``"auto"`` picks the blocked kernel: its pre-pass amortises across
-        facts and its adaptive dense walk beats the per-fact numpy loop in
-        every measured regime, from the paper's toy example to the Figure-6
-        workload.
+        Cheap: it never compiles.  Before the process's first fit it reports
+        whether a C compiler is available; afterwards, what the one build
+        attempt produced.
         """
-        if self.kernel == "auto":
-            return "blocked"
-        return self.kernel
+        return backend_name()
 
 
 @dataclass
@@ -147,18 +152,14 @@ class GibbsTrace:
         Optional snapshots of the running truth-probability estimate, keyed
         by iteration index (only populated when checkpoints are requested).
     kernel:
-        Which sweep implementation produced this trace (``"scalar"`` or
-        ``"blocked"``).
-    block_count:
-        Number of conflict-free blocks in the blocked kernel's schedule
-        (0 for the scalar kernel, which has no schedule).
+        Which sweep backend produced this trace: ``"compiled"`` or
+        ``"python"``.
     """
 
     flips_per_iteration: list[int] = field(default_factory=list)
     samples_collected: int = 0
     checkpoint_scores: dict[int, np.ndarray] = field(default_factory=dict)
-    kernel: str = "scalar"
-    block_count: int = 0
+    kernel: str = "python"
 
     @property
     def total_iterations(self) -> int:
@@ -181,7 +182,7 @@ class CollapsedGibbsSampler:
         The :class:`~repro.core.priors.LTMPriors` providing the ``alpha`` and
         ``beta`` pseudo-counts of Equation (2).
     config:
-        The sampling schedule and kernel choice.
+        The sampling schedule.
     """
 
     def __init__(self, priors: LTMPriors | None = None, config: GibbsConfig | None = None):
@@ -210,7 +211,7 @@ class CollapsedGibbsSampler:
             estimate (used by the convergence study, Figure 5).
         callback:
             Optional ``callback(iteration, current_truth)`` invoked after each
-            sweep.
+            sweep with a copy of the current truth assignment.
 
         Returns
         -------
@@ -218,121 +219,40 @@ class CollapsedGibbsSampler:
             ``scores`` is the posterior truth probability per fact (the
             average of retained samples), ``counts`` the final confusion
             counts under the last truth assignment, and ``trace`` the
-            sampling diagnostics (including which kernel ran).
+            sampling diagnostics (including which backend ran).
         """
         if claims.num_facts == 0:
             raise ModelError("cannot run the Gibbs sampler on a claim matrix with no facts")
 
-        if self.config.resolved_kernel() == "blocked":
-            from repro.core.gibbs_vec import run_blocked
-
-            return run_blocked(
-                self.priors,
-                self.config,
-                claims,
-                initial_truth=initial_truth,
-                checkpoints=checkpoints,
-                callback=callback,
-            )
-        return self._run_scalar(claims, initial_truth, checkpoints, callback)
-
-    # -- scalar kernel ------------------------------------------------------------
-    def _run_scalar(
-        self,
-        claims: ClaimMatrix,
-        initial_truth: np.ndarray | None,
-        checkpoints: Sequence[int],
-        callback: Callable[[int, np.ndarray], None] | None,
-    ) -> tuple[np.ndarray, SourceCounts, GibbsTrace]:
-        from repro.core.gibbs_vec import KernelTables
-
-        rng = np.random.default_rng(self.config.seed)
+        config = self.config
+        rng = np.random.default_rng(config.seed)
         num_facts = claims.num_facts
-
         truth = self._initial_assignment(num_facts, initial_truth, rng)
         counts = SourceCounts.from_assignment(claims, truth)
-        # Flat views: the sweep updates them in place and ``counts`` stays in
-        # sync because ``counts_flat`` aliases its buffer.
-        counts_flat = counts.counts.reshape(-1)
-        totals_flat = counts.counts.sum(axis=2).reshape(-1)
-
-        tables = KernelTables(claims, self.priors)
-        log_num, log_den = tables.log_num, tables.log_den
-        num_base0, num_base1 = tables.num_base
-        den_base0, den_base1 = tables.den_base
-        count_idx0, count_idx1 = tables.count_idx
-        total_idx0, total_idx1 = tables.total_idx
-        delta_log_beta = tables.delta_log_beta
-        prior_true = tables.prior_true
-
-        fact_ptr = claims.fact_ptr
-        segment_start = np.zeros(1, dtype=np.intp)
+        walk = make_walk(claims, self.priors, truth, counts.counts)
 
         score_sum = np.zeros(num_facts, dtype=float)
         samples = 0
-        trace = GibbsTrace(kernel="scalar")
+        trace = GibbsTrace(kernel=walk.kernel)
         checkpoint_set = set(int(c) for c in checkpoints)
 
         # Telemetry: sweeps are grouped into at most ~10 chunked
         # ``gibbs.iteration`` spans per fit — per-sweep granularity without
-        # per-claim (or even per-sweep) span overhead.  The inner loops are
-        # untouched when tracing is disabled.
+        # per-sweep span overhead.  Nothing here runs when tracing is off.
         tracer = get_tracer()
         traced = tracer.enabled
-        chunk = max(1, self.config.iterations // 10)
+        chunk = max(1, config.iterations // 10)
         chunk_start = tracer.now() if traced else 0.0
         chunk_first = 0
         chunk_flips = 0
 
-        for iteration in range(self.config.iterations):
-            flips = 0
+        for iteration in range(config.iterations):
             uniforms = rng.random(num_facts)
-            thresholds = KernelTables.switch_thresholds(uniforms)
-            for f in range(num_facts):
-                start, stop = fact_ptr[f], fact_ptr[f + 1]
-                if start == stop:
-                    # A fact with no claims: sample from the prior alone.
-                    new_t = 1 if uniforms[f] < prior_true else 0
-                    if new_t != truth[f]:
-                        truth[f] = new_t
-                        flips += 1
-                    continue
-                if truth[f] == 1:
-                    cur = 1
-                    nb_cur, nb_oth = num_base1[start:stop], num_base0[start:stop]
-                    db_cur, db_oth = den_base1[start:stop], den_base0[start:stop]
-                    ci_cur, ci_oth = count_idx1[start:stop], count_idx0[start:stop]
-                    ti_cur, ti_oth = total_idx1[start:stop], total_idx0[start:stop]
-                else:
-                    cur = 0
-                    nb_cur, nb_oth = num_base0[start:stop], num_base1[start:stop]
-                    db_cur, db_oth = den_base0[start:stop], den_base1[start:stop]
-                    ci_cur, ci_oth = count_idx0[start:stop], count_idx1[start:stop]
-                    ti_cur, ti_oth = total_idx0[start:stop], total_idx1[start:stop]
-
-                # Equation (2): counts exclude fact f's own claims for the
-                # bucket it currently occupies (the ``- 1`` on the current
-                # side); every log comes from the precomputed tables.
-                terms = (
-                    log_num[nb_cur + (counts_flat[ci_cur] - 1)]
-                    - log_den[db_cur + (totals_flat[ti_cur] - 1)]
-                ) - (
-                    log_num[nb_oth + counts_flat[ci_oth]]
-                    - log_den[db_oth + totals_flat[ti_oth]]
-                )
-                delta = np.add.reduceat(terms, segment_start)[0] + delta_log_beta[cur]
-                if delta < thresholds[f]:
-                    truth[f] = 1 - cur
-                    flips += 1
-                    np.add.at(counts_flat, ci_cur, -1)
-                    np.add.at(counts_flat, ci_oth, 1)
-                    np.add.at(totals_flat, ti_cur, -1)
-                    np.add.at(totals_flat, ti_oth, 1)
-
+            flips = walk.sweep(uniforms, KernelTables.switch_thresholds(uniforms))
             trace.flips_per_iteration.append(flips)
             if traced:
                 chunk_flips += flips
-                if (iteration + 1) % chunk == 0 or iteration == self.config.iterations - 1:
+                if (iteration + 1) % chunk == 0 or iteration == config.iterations - 1:
                     sweeps = iteration - chunk_first + 1
                     tracer.record(
                         "gibbs.iteration",
@@ -346,17 +266,27 @@ class CollapsedGibbsSampler:
                     chunk_start = tracer.now()
                     chunk_first = iteration + 1
                     chunk_flips = 0
-            if iteration >= self.config.burn_in and (iteration - self.config.burn_in) % self.config.thin == 0:
-                score_sum += truth
+
+            sampling = (
+                iteration >= config.burn_in
+                and (iteration - config.burn_in) % config.thin == 0
+            )
+            if not (sampling or callback is not None or iteration in checkpoint_set):
+                continue
+            current = walk.truth()
+            if sampling:
+                score_sum += current
                 samples += 1
             if iteration in checkpoint_set:
-                running = score_sum / samples if samples else truth.astype(float)
-                trace.checkpoint_scores[iteration] = running.copy()
+                trace.checkpoint_scores[iteration] = (
+                    score_sum / samples if samples else current.astype(float)
+                )
             if callback is not None:
-                callback(iteration, truth)
+                callback(iteration, current.copy())
 
         trace.samples_collected = samples
-        scores = score_sum / samples if samples else truth.astype(float)
+        scores = score_sum / samples if samples else walk.truth().astype(float)
+        counts.counts[:] = walk.counts().reshape(counts.counts.shape)
         counts.verify_non_negative()
         return scores, counts, trace
 

@@ -1,66 +1,57 @@
-"""Blocked, table-driven Gibbs kernel — the fast path of Algorithm 1.
+"""Table-driven Gibbs sweep of Algorithm 1, with a compiled and a Python backend.
 
 The collapsed sampler's per-fact conditional (Equation 2) only ever evaluates
 ``log(m + alpha)`` for integer occupancies ``m`` bounded by each source's
 claim count, so every transcendental the sampler can possibly need is known
 ahead of time.  :class:`KernelTables` precomputes them once per fit into flat
 lookup tables; from then on a sweep is pure integer indexing plus IEEE-754
-adds and subtracts.  Because the scalar kernel in :mod:`repro.core.gibbs`
-reads the *same* tables and accumulates per-fact terms in the same
-left-to-right order, the two kernels make bit-identical flip decisions for
-the same seed — not merely statistically equivalent chains.
+adds and subtracts.
 
-The blocked kernel itself layers three execution strategies over one exact
-semantics (process facts in an order equivalent to the scalar ``0..F-1``
-sweep):
+Two backends walk those tables with the same arithmetic, facts in plain order
+``0..F-1``, claims left to right:
 
-* a :class:`BlockSchedule` — an order-preserving greedy colouring of the
-  fact–source conflict graph.  Facts in one block share no source, so their
-  flip decisions and count updates are mutually independent; blocks are
-  processed in colour order, and because the colouring preserves the index
-  order of conflicting facts, block-order execution is exactly equivalent to
-  the scalar sweep.
-* a vectorised **pre-pass**: under the sweep-start counts, every fact's
-  Equation-2 log-ratio is computed in one numpy gather + ``np.add.reduceat``
-  over the CSR claim layout.  A pre-pass decision stays valid until some
-  earlier flip touches one of the fact's sources; a bitmask of dirty sources
-  tracks exactly that, so clean blocks commit their pre-passed flips
-  wholesale while invalidated facts are re-evaluated exactly.
-* an adaptive **dense sweep**: on conflict-dense corpora the dirty mask
-  saturates after a few flips and nearly every fact is re-evaluated anyway.
-  The kernel notices (pre-pass survival rate below 25%) and skips the
-  pre-pass for the next few sweeps, running a tight table-walk over all
-  facts instead — probing again periodically so sparse or converged chains
-  regain the vectorised path.  Skipping the pre-pass never changes results:
-  re-evaluation is the ground truth the pre-pass merely caches.
+* ``"compiled"`` — ``gibbs_sweep.c``, about forty lines of C.  It is compiled
+  with the system C compiler on the first :meth:`CollapsedGibbsSampler.run
+  <repro.core.gibbs.CollapsedGibbsSampler.run>` of a process (never at import)
+  and loaded through :mod:`ctypes`.  The flags forbid floating-point
+  contraction and fast-math, so its doubles round exactly as Python's do.
+* ``"python"`` — :class:`PythonWalk`, the reference the compiled sweep is
+  tested against and the fallback wherever no compiler exists or the build
+  or load fails.
 
-When numba is installed (the optional ``[jit]`` extra), the dense sweep is
-additionally compiled; :mod:`repro.core._jit` degrades silently to the pure
-python walk when it is not.
+Because both evaluate the same expression in the same order, they make
+bit-identical flip decisions for the same seed; the golden-chain tests pin
+both to chains frozen from the sampler's earlier kernels.  There is no switch:
+the backend follows from what the platform can build, and the one build
+attempt per process is remembered.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+import ctypes
+import os
+import shutil
+import subprocess
+import tempfile
+import threading
+from pathlib import Path
+from typing import Any
 
 import numpy as np
 
-from repro.obs import get_tracer
-from repro.core.counts import SourceCounts
 from repro.core.priors import LTMPriors
 from repro.data.dataset import ClaimMatrix
 
-__all__ = ["KernelTables", "BlockSchedule", "run_blocked"]
+__all__ = ["KernelTables", "PythonWalk", "CompiledWalk", "make_walk", "backend_name", "compiled_sweep"]
 
-# Pre-pass survival rate below which the next sweeps skip straight to the
-# dense walk, and how many sweeps pass before the pre-pass is probed again.
-_PREPASS_MIN_HIT_RATE = 0.25
-_PREPASS_PROBE_EVERY = 8
+_SOURCE = Path(__file__).with_name("gibbs_sweep.c")
+#: Plain IEEE arithmetic only: no FMA contraction, no fast-math, no -march.
+_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+_COMPILERS = ("cc", "gcc", "clang")
 
 
 class KernelTables:
-    """Shared canonical arithmetic of both Gibbs kernels.
+    """Shared canonical arithmetic of both sweep backends.
 
     For every source ``s`` (with ``d_s`` claims), truth value ``t`` and
     observation ``o`` the tables hold::
@@ -76,10 +67,15 @@ class KernelTables:
 
     where ``n``/``N`` are the claim's bucket count and bucket total under
     ``t`` (gathered through ``count_idx``/``total_idx`` from the flattened
-    confusion counts).  All kernels evaluate exactly this expression — the
+    confusion counts).  Both backends evaluate exactly this expression — the
     only floating-point operations after construction are subtractions and
-    left-to-right additions, which IEEE-754 defines identically for numpy
-    float64 and python floats.
+    left-to-right additions, which IEEE-754 defines identically for C doubles
+    and Python floats.
+
+    ``claim_index`` holds all four per-claim index arrays for both truth
+    values as one ``(2, 4, C)`` int64 block, rows ``num_base``,
+    ``count_idx``, ``den_base``, ``total_idx``; the named attributes are
+    per-truth-value views of it.
     """
 
     def __init__(self, claims: ClaimMatrix, priors: LTMPriors):
@@ -104,16 +100,21 @@ class KernelTables:
         occupancy2 = position2 % np.repeat(lengths, 2 * lengths)
         self.log_den = np.log(occupancy2 + alpha_sum[source_ids2, sub2])
 
-        claim_source = claims.claim_source
+        claim_source = np.asarray(claims.claim_source, dtype=np.int64)
         claim_obs = np.asarray(claims.claim_obs, dtype=np.int64)
         claim_lengths = lengths[claim_source]
-        self.num_base = [
-            num_offsets[claim_source] + (t * 2 + claim_obs) * claim_lengths for t in (0, 1)
-        ]
-        self.den_base = [den_offsets[claim_source] + t * claim_lengths for t in (0, 1)]
-        # Flattened (S, 2, 2) confusion-count and (S, 2) total indices.
-        self.count_idx = [(claim_source * 2 + t) * 2 + claim_obs for t in (0, 1)]
-        self.total_idx = [claim_source * 2 + t for t in (0, 1)]
+        index = np.empty((2, 4, claims.num_claims), dtype=np.int64)
+        for t in (0, 1):
+            index[t, 0] = num_offsets[claim_source] + (t * 2 + claim_obs) * claim_lengths
+            # Flattened (S, 2, 2) confusion-count and (S, 2) total indices.
+            index[t, 1] = (claim_source * 2 + t) * 2 + claim_obs
+            index[t, 2] = den_offsets[claim_source] + t * claim_lengths
+            index[t, 3] = claim_source * 2 + t
+        self.claim_index = index
+        self.num_base = [index[0, 0], index[1, 0]]
+        self.count_idx = [index[0, 1], index[1, 1]]
+        self.den_base = [index[0, 2], index[1, 2]]
+        self.total_idx = [index[0, 3], index[1, 3]]
 
         log_beta = np.log(priors.beta_array())
         # delta_log_beta[t] = log beta_t - log beta_{1-t}: the prior part of
@@ -127,455 +128,225 @@ class KernelTables:
     def switch_thresholds(uniforms: np.ndarray) -> np.ndarray:
         """Per-fact flip thresholds for one sweep's uniform draws.
 
-        The scalar rule "flip when ``u < 1 / (1 + exp(delta))``" is exactly
-        "flip when ``delta < log((1 - u) / u)``" (both sides strictly
-        monotone); evaluating the right-hand side once per sweep as a single
-        whole-array call keeps the two kernels' arithmetic identical and
-        removes every per-fact ``exp``.  ``u == 0.0`` maps to ``+inf``
-        (always flip), matching the scalar rule.
+        The rule "flip when ``u < 1 / (1 + exp(delta))``" is exactly "flip
+        when ``delta < log((1 - u) / u)``" (both sides strictly monotone);
+        evaluating the right-hand side once per sweep as a single
+        whole-array call removes every per-fact ``exp``.  ``u == 0.0`` maps
+        to ``+inf`` (always flip), matching the sigmoid rule.
         """
         with np.errstate(divide="ignore"):
             return np.log((1.0 - uniforms) / uniforms)
 
 
-@dataclass(frozen=True)
-class BlockSchedule:
-    """Conflict-free, order-preserving block schedule over the claimed facts.
+class PythonWalk:
+    """The reference sweep: a pure-Python walk over the claims in fact order.
 
-    Greedy level colouring: a fact's colour is the smallest level above every
-    earlier conflicting fact, i.e. the length of the longest conflict chain
-    ending at it.  This guarantees two invariants the kernel relies on:
-
-    * facts of one block are pairwise conflict-free (no shared source);
-    * conflicting facts keep their index order across blocks, so colour-order
-      execution is exactly equivalent to the scalar ``0..F-1`` sweep.
-
-    By Mirsky's theorem the number of blocks equals the longest conflict
-    chain — no order-preserving schedule can use fewer.
-
-    Attributes
-    ----------
-    order:
-        Claimed fact ids, grouped by block, ascending within each block.
-    block_ptr:
-        CSR boundaries into ``order``: block ``b`` is
-        ``order[block_ptr[b]:block_ptr[b + 1]]``.
-    fact_masks:
-        Per fact, the bitmask of its claiming sources (0 for claimless facts).
-    block_masks:
-        Per block, the union of its facts' source masks.
-    all_sources_mask:
-        Union of every block mask (used to detect dirty saturation).
+    Holds the chain state (truth, flattened counts and totals) as Python
+    lists between sweeps; :meth:`truth` and :meth:`counts` materialise it.
     """
 
-    order: np.ndarray
-    block_ptr: np.ndarray
-    fact_masks: list
-    block_masks: list
-    all_sources_mask: int
+    kernel = "python"
 
-    @property
-    def num_blocks(self) -> int:
-        return len(self.block_masks)
+    def __init__(self, claims: ClaimMatrix, tables: KernelTables, truth: np.ndarray, counts: np.ndarray):
+        self._fact_ptr = claims.fact_ptr.tolist()
+        self._index = [[row.tolist() for row in tables.claim_index[t]] for t in (0, 1)]
+        self._log_num = tables.log_num.tolist()
+        self._log_den = tables.log_den.tolist()
+        self._dlb = tables.delta_log_beta.tolist()
+        self._prior_true = float(tables.prior_true)
+        self._truth = truth.tolist()
+        self._counts = counts.reshape(-1).tolist()
+        self._totals = counts.sum(axis=2).reshape(-1).tolist()
 
-    @classmethod
-    def build(cls, claims: ClaimMatrix) -> "BlockSchedule":
-        fact_ptr = claims.fact_ptr.tolist()
-        claim_source = claims.claim_source.tolist()
-        num_facts = claims.num_facts
-
-        fact_masks = [0] * num_facts
-        next_free = [0] * claims.num_sources
-        claimed: list[int] = []
-        colours: list[int] = []
-        for fact in range(num_facts):
-            start, stop = fact_ptr[fact], fact_ptr[fact + 1]
-            if start == stop:
-                continue
-            mask = 0
-            colour = 0
-            for i in range(start, stop):
-                source = claim_source[i]
-                mask |= 1 << source
-                level = next_free[source]
-                if level > colour:
-                    colour = level
-            fact_masks[fact] = mask
-            claimed.append(fact)
-            colours.append(colour)
-            above = colour + 1
-            for i in range(start, stop):
-                next_free[claim_source[i]] = above
-        if claimed:
-            claimed_arr = np.asarray(claimed, dtype=np.int64)
-            colour_arr = np.asarray(colours, dtype=np.int64)
-            order = claimed_arr[np.lexsort((claimed_arr, colour_arr))]
-            num_blocks = int(colour_arr.max()) + 1
-            sizes = np.bincount(colour_arr, minlength=num_blocks)
-            block_ptr = np.concatenate(([0], np.cumsum(sizes)))
-        else:
-            order = np.empty(0, dtype=np.int64)
-            block_ptr = np.zeros(1, dtype=np.int64)
-        order_list = order.tolist()
-        block_ptr_list = block_ptr.tolist()
-        block_masks = []
-        all_mask = 0
-        for b in range(len(block_ptr_list) - 1):
-            mask = 0
-            for k in range(block_ptr_list[b], block_ptr_list[b + 1]):
-                mask |= fact_masks[order_list[k]]
-            block_masks.append(mask)
-            all_mask |= mask
-        return cls(
-            order=order,
-            block_ptr=block_ptr,
-            fact_masks=fact_masks,
-            block_masks=block_masks,
-            all_sources_mask=all_mask,
-        )
-
-    def blocks(self) -> list[np.ndarray]:
-        """The schedule as a list of fact-id arrays, in execution order."""
-        return [
-            self.order[self.block_ptr[b] : self.block_ptr[b + 1]]
-            for b in range(self.num_blocks)
-        ]
-
-
-def run_blocked(
-    priors: LTMPriors,
-    config: "GibbsConfig",
-    claims: ClaimMatrix,
-    initial_truth: np.ndarray | None = None,
-    checkpoints: Sequence[int] = (),
-    callback: Callable[[int, np.ndarray], None] | None = None,
-) -> tuple[np.ndarray, SourceCounts, "GibbsTrace"]:
-    """Run the blocked kernel; same contract and chain as the scalar sampler.
-
-    For a fixed seed this produces bit-identical scores, counts, trace flip
-    sequences and checkpoint snapshots to
-    :meth:`repro.core.gibbs.CollapsedGibbsSampler.run` with
-    ``kernel="scalar"`` — the parity suite pins this on every catalog
-    dataset.
-    """
-    from repro.core.gibbs import CollapsedGibbsSampler, GibbsTrace
-
-    rng = np.random.default_rng(config.seed)
-    num_facts = claims.num_facts
-    truth = CollapsedGibbsSampler._initial_assignment(num_facts, initial_truth, rng)
-
-    tables = KernelTables(claims, priors)
-    schedule = BlockSchedule.build(claims)
-
-    counts = SourceCounts.from_assignment(claims, truth)
-    counts_list = counts.counts.reshape(-1).tolist()
-    totals_list = counts.counts.sum(axis=2).reshape(-1).tolist()
-
-    fact_ptr = claims.fact_ptr
-    num_claims = claims.num_claims
-    claim_fact = claims.claim_fact
-    log_num, log_den = tables.log_num, tables.log_den
-    num_base0, num_base1 = tables.num_base
-    den_base0, den_base1 = tables.den_base
-    count_idx0, count_idx1 = tables.count_idx
-    total_idx0, total_idx1 = tables.total_idx
-    delta_log_beta = tables.delta_log_beta
-    dlb0, dlb1 = float(delta_log_beta[0]), float(delta_log_beta[1])
-    prior_true = tables.prior_true
-
-    # Python-side mirrors for the table walk.
-    log_num_list, log_den_list = log_num.tolist(), log_den.tolist()
-    nb0l, nb1l = num_base0.tolist(), num_base1.tolist()
-    db0l, db1l = den_base0.tolist(), den_base1.tolist()
-    ci0l, ci1l = count_idx0.tolist(), count_idx1.tolist()
-    ti0l, ti1l = total_idx0.tolist(), total_idx1.tolist()
-    fact_ptr_list = fact_ptr.tolist()
-
-    # Per-fact claim rows for the walk: 8-tuples of table/count indices in the
-    # roles (num_cur, count_cur, den_cur, total_cur, num_oth, count_oth,
-    # den_oth, total_oth) — one list per truth value, claims in CSR order so
-    # the left-to-right accumulation matches ``np.add.reduceat``'s
-    # per-segment order exactly.
-    rows_true: list = [None] * num_facts
-    rows_false: list = [None] * num_facts
-    order_list = schedule.order.tolist()
-    for fact in order_list:
-        as_true = []
-        as_false = []
-        for i in range(fact_ptr_list[fact], fact_ptr_list[fact + 1]):
-            as_true.append((nb1l[i], ci1l[i], db1l[i], ti1l[i], nb0l[i], ci0l[i], db0l[i], ti0l[i]))
-            as_false.append((nb0l[i], ci0l[i], db0l[i], ti0l[i], nb1l[i], ci1l[i], db1l[i], ti1l[i]))
-        rows_true[fact] = as_true
-        rows_false[fact] = as_false
-
-    fact_masks = schedule.fact_masks
-    block_masks = schedule.block_masks
-    block_ptr_list = schedule.block_ptr.tolist()
-    num_blocks = schedule.num_blocks
-    all_sources_mask = schedule.all_sources_mask
-    num_claimed = len(order_list)
-    claimless = [
-        f for f in range(num_facts) if fact_ptr_list[f] == fact_ptr_list[f + 1]
-    ]
-    # reduceat needs in-range segment starts; empty trailing segments are
-    # claimless facts whose pre-pass value is never consulted.
-    segment_starts = np.minimum(fact_ptr[:-1], max(num_claims - 1, 0))
-
-    from repro.core._jit import dense_sweep_compiled
-
-    jit_sweep = dense_sweep_compiled()
-    jit_state = None
-    if jit_sweep is not None and num_claimed:
-        walk_ptr = np.zeros(num_claimed + 1, dtype=np.int64)
-        for k, fact in enumerate(order_list):
-            walk_ptr[k + 1] = walk_ptr[k] + fact_ptr_list[fact + 1] - fact_ptr_list[fact]
-        gather = np.concatenate(
-            [np.arange(fact_ptr_list[f], fact_ptr_list[f + 1]) for f in order_list]
-        )
-        jit_state = (
-            walk_ptr,
-            schedule.order,
-            num_base1[gather], count_idx1[gather], den_base1[gather], total_idx1[gather],
-            num_base0[gather], count_idx0[gather], den_base0[gather], total_idx0[gather],
-        )
-
-    truth_list = truth.tolist()
-    score_sum = np.zeros(num_facts, dtype=float)
-    samples = 0
-    trace = GibbsTrace(kernel="blocked", block_count=num_blocks)
-    checkpoint_set = set(int(c) for c in checkpoints)
-
-    tracer = get_tracer()
-    traced = tracer.enabled
-    chunk = max(1, config.iterations // 10)
-    chunk_start = tracer.now() if traced else 0.0
-    chunk_first = 0
-    chunk_flips = 0
-
-    skip_countdown = 0
-    for iteration in range(config.iterations):
-        uniforms = rng.random(num_facts)
-        thresholds = KernelTables.switch_thresholds(uniforms)
+    def sweep(self, uniforms: np.ndarray, thresholds: np.ndarray) -> int:
+        """Resample every fact once, in order; return how many flipped."""
+        fact_ptr, index = self._fact_ptr, self._index
+        log_num, log_den, dlb = self._log_num, self._log_den, self._dlb
+        truth, counts, totals = self._truth, self._counts, self._totals
+        prior_true = self._prior_true
         uniforms_list = uniforms.tolist()
         thresholds_list = thresholds.tolist()
         flips = 0
-
-        # Claimless facts depend on the prior alone; their decisions commute
-        # with every claimed fact's.
-        for fact in claimless:
-            new_truth = 1 if uniforms_list[fact] < prior_true else 0
-            if new_truth != truth_list[fact]:
-                truth_list[fact] = new_truth
+        for fact in range(len(truth)):
+            lo, hi = fact_ptr[fact], fact_ptr[fact + 1]
+            current = truth[fact]
+            if lo == hi:
+                # A fact with no claims: sample from the truth prior alone.
+                new_truth = 1 if uniforms_list[fact] < prior_true else 0
+                if new_truth != current:
+                    truth[fact] = new_truth
+                    flips += 1
+                continue
+            nb_c, ci_c, db_c, ti_c = index[current]
+            nb_o, ci_o, db_o, ti_o = index[1 - current]
+            # Equation (2): counts exclude fact f's own claims for the bucket
+            # it currently occupies (the ``- 1`` on the current side).
+            acc = 0.0
+            for i in range(lo, hi):
+                acc += (
+                    log_num[nb_c[i] + counts[ci_c[i]] - 1]
+                    - log_den[db_c[i] + totals[ti_c[i]] - 1]
+                ) - (
+                    log_num[nb_o[i] + counts[ci_o[i]]]
+                    - log_den[db_o[i] + totals[ti_o[i]]]
+                )
+            if acc + dlb[current] < thresholds_list[fact]:
+                for i in range(lo, hi):
+                    counts[ci_c[i]] -= 1
+                    counts[ci_o[i]] += 1
+                    totals[ti_c[i]] -= 1
+                    totals[ti_o[i]] += 1
+                truth[fact] = 1 - current
                 flips += 1
+        return flips
 
-        run_prepass = num_claimed > 0 and skip_countdown == 0
-        if run_prepass:
-            # Vectorised Equation-2 pre-pass under the sweep-start counts.
-            counts_arr = np.asarray(counts_list, dtype=np.int64)
-            totals_arr = np.asarray(totals_list, dtype=np.int64)
-            truth_arr = np.asarray(truth_list, dtype=np.int64)
-            claim_truth = truth_arr[claim_fact]
-            is_true = claim_truth == 1
-            nb_cur = np.where(is_true, num_base1, num_base0)
-            nb_oth = np.where(is_true, num_base0, num_base1)
-            db_cur = np.where(is_true, den_base1, den_base0)
-            db_oth = np.where(is_true, den_base0, den_base1)
-            ci_cur = np.where(is_true, count_idx1, count_idx0)
-            ci_oth = np.where(is_true, count_idx0, count_idx1)
-            ti_cur = np.where(is_true, total_idx1, total_idx0)
-            ti_oth = np.where(is_true, total_idx0, total_idx1)
-            terms = (
-                log_num[nb_cur + (counts_arr[ci_cur] - 1)]
-                - log_den[db_cur + (totals_arr[ti_cur] - 1)]
-            ) - (
-                log_num[nb_oth + counts_arr[ci_oth]]
-                - log_den[db_oth + totals_arr[ti_oth]]
-            )
-            deltas = np.add.reduceat(terms, segment_starts) + delta_log_beta[truth_arr]
-            stale_flip = deltas < thresholds
-            stale_list = stale_flip.tolist()
-            block_flip_counts = np.add.reduceat(
-                stale_flip[schedule.order].astype(np.int64), schedule.block_ptr[:-1]
-            ).tolist()
+    def truth(self) -> np.ndarray:
+        """The current truth assignment (a fresh array)."""
+        return np.asarray(self._truth, dtype=np.int64)
 
-            stale_hits = 0
-            dirty = 0
-            dense_from = None
-            for b in range(num_blocks):
-                lo, hi = block_ptr_list[b], block_ptr_list[b + 1]
-                if not (block_masks[b] & dirty):
-                    # Clean block: every pre-passed decision is still valid.
-                    if not block_flip_counts[b]:
-                        stale_hits += hi - lo
-                        continue
-                    for k in range(lo, hi):
-                        fact = order_list[k]
-                        stale_hits += 1
-                        if stale_list[fact]:
-                            current = truth_list[fact]
-                            rows = rows_true[fact] if current else rows_false[fact]
-                            for _, ci_c, _, ti_c, _, ci_o, _, ti_o in rows:
-                                counts_list[ci_c] -= 1
-                                counts_list[ci_o] += 1
-                                totals_list[ti_c] -= 1
-                                totals_list[ti_o] += 1
-                            truth_list[fact] = 1 - current
-                            dirty |= fact_masks[fact]
-                            flips += 1
-                else:
-                    for k in range(lo, hi):
-                        fact = order_list[k]
-                        mask = fact_masks[fact]
-                        if mask & dirty:
-                            current = truth_list[fact]
-                            rows = rows_true[fact] if current else rows_false[fact]
-                            acc = 0.0
-                            for a, cb, c, tb, e, co, h, to in rows:
-                                acc += (
-                                    log_num_list[a + counts_list[cb] - 1]
-                                    - log_den_list[c + totals_list[tb] - 1]
-                                ) - (
-                                    log_num_list[e + counts_list[co]]
-                                    - log_den_list[h + totals_list[to]]
-                                )
-                            flip = (acc + (dlb1 if current else dlb0)) < thresholds_list[fact]
-                        else:
-                            stale_hits += 1
-                            flip = stale_list[fact]
-                        if flip:
-                            current = truth_list[fact]
-                            rows = rows_true[fact] if current else rows_false[fact]
-                            for _, ci_c, _, ti_c, _, ci_o, _, ti_o in rows:
-                                counts_list[ci_c] -= 1
-                                counts_list[ci_o] += 1
-                                totals_list[ti_c] -= 1
-                                totals_list[ti_o] += 1
-                            truth_list[fact] = 1 - current
-                            dirty |= mask
-                            flips += 1
-                if dirty == all_sources_mask and b + 1 < num_blocks:
-                    # Every source is dirty: no later stale decision can
-                    # survive, so finish the sweep with the dense walk.
-                    dense_from = block_ptr_list[b + 1]
-                    break
-            if dense_from is not None:
-                flips += _dense_walk(
-                    order_list, dense_from, num_claimed, truth_list, rows_true,
-                    rows_false, counts_list, totals_list, log_num_list,
-                    log_den_list, dlb0, dlb1, thresholds_list,
-                )
-            if stale_hits < _PREPASS_MIN_HIT_RATE * num_claimed:
-                skip_countdown = _PREPASS_PROBE_EVERY - 1
-        elif num_claimed:
-            if skip_countdown:
-                skip_countdown -= 1
-            if jit_state is not None:
-                counts_arr = np.asarray(counts_list, dtype=np.int64)
-                totals_arr = np.asarray(totals_list, dtype=np.int64)
-                truth_arr = np.asarray(truth_list, dtype=np.int64)
-                flips += int(
-                    jit_sweep(
-                        *jit_state, log_num, log_den, counts_arr, totals_arr,
-                        truth_arr, thresholds, dlb0, dlb1,
-                    )
-                )
-                counts_list = counts_arr.tolist()
-                totals_list = totals_arr.tolist()
-                truth_list = truth_arr.tolist()
-            else:
-                flips += _dense_walk(
-                    order_list, 0, num_claimed, truth_list, rows_true,
-                    rows_false, counts_list, totals_list, log_num_list,
-                    log_den_list, dlb0, dlb1, thresholds_list,
-                )
+    def counts(self) -> np.ndarray:
+        """The current flattened ``(S * 2 * 2,)`` confusion counts."""
+        return np.asarray(self._counts, dtype=np.int64)
 
-        trace.flips_per_iteration.append(flips)
-        if traced:
-            chunk_flips += flips
-            if (iteration + 1) % chunk == 0 or iteration == config.iterations - 1:
-                sweeps = iteration - chunk_first + 1
-                tracer.record(
-                    "gibbs.iteration",
-                    chunk_start,
-                    end=tracer.now(),
-                    first_iteration=chunk_first,
-                    iterations=sweeps,
-                    flips=chunk_flips,
-                    flip_fraction=round(chunk_flips / (sweeps * num_facts), 6),
-                )
-                chunk_start = tracer.now()
-                chunk_first = iteration + 1
-                chunk_flips = 0
 
-        sampling = (
-            iteration >= config.burn_in
-            and (iteration - config.burn_in) % config.thin == 0
+class CompiledWalk:
+    """:class:`PythonWalk`'s arithmetic run by the C sweep on numpy state."""
+
+    kernel = "compiled"
+
+    def __init__(
+        self,
+        claims: ClaimMatrix,
+        tables: KernelTables,
+        truth: np.ndarray,
+        counts: np.ndarray,
+        sweep_fn: Any,
+    ):
+        self._sweep_fn = sweep_fn
+        self._prior_true = float(tables.prior_true)
+        self._dlb0, self._dlb1 = (float(v) for v in tables.delta_log_beta)
+        self._truth = np.array(truth, dtype=np.int64)
+        self._counts = np.array(counts, dtype=np.int64).reshape(-1)
+        self._totals = np.array(counts, dtype=np.int64).sum(axis=2).reshape(-1)
+        # Every array the C sweep reads is C-contiguous int64 or float64.  The
+        # walk holds each one for its lifetime and never reallocates them, so
+        # their addresses are taken once; the sweep updates the state in place.
+        self._arrays = (
+            np.ascontiguousarray(claims.fact_ptr, dtype=np.int64),
+            np.ascontiguousarray(tables.claim_index, dtype=np.int64),
+            np.ascontiguousarray(tables.log_num, dtype=np.float64),
+            np.ascontiguousarray(tables.log_den, dtype=np.float64),
+            self._counts,
+            self._totals,
+            self._truth,
         )
-        need_array = sampling or callback is not None or iteration in checkpoint_set
-        if need_array:
-            truth_arr = np.asarray(truth_list, dtype=np.int64)
-        if sampling:
-            score_sum += truth_arr
-            samples += 1
-        if iteration in checkpoint_set:
-            running = score_sum / samples if samples else truth_arr.astype(float)
-            trace.checkpoint_scores[iteration] = running.copy()
-        if callback is not None:
-            callback(iteration, truth_arr)
+        self._fixed_args = (len(self._truth), claims.num_claims) + tuple(
+            array.ctypes.data for array in self._arrays
+        )
 
-    trace.samples_collected = samples
-    if samples:
-        scores = score_sum / samples
-    else:
-        scores = np.asarray(truth_list, dtype=float)
-    counts.counts[:] = np.asarray(counts_list, dtype=np.int64).reshape(
-        claims.num_sources, 2, 2
-    )
-    counts.verify_non_negative()
-    return scores, counts, trace
+    def sweep(self, uniforms: np.ndarray, thresholds: np.ndarray) -> int:
+        """Resample every fact once, in order; return how many flipped."""
+        uniforms = np.ascontiguousarray(uniforms, dtype=np.float64)
+        thresholds = np.ascontiguousarray(thresholds, dtype=np.float64)
+        if uniforms.shape != self._truth.shape or thresholds.shape != self._truth.shape:
+            raise ValueError("the C sweep reads one uniform and one threshold per fact")
+        return self._sweep_fn(
+            *self._fixed_args,
+            uniforms.ctypes.data,
+            thresholds.ctypes.data,
+            self._prior_true,
+            self._dlb0,
+            self._dlb1,
+        )
+
+    def truth(self) -> np.ndarray:
+        """The live truth assignment; the next sweep overwrites it."""
+        return self._truth
+
+    def counts(self) -> np.ndarray:
+        """The current flattened ``(S * 2 * 2,)`` confusion counts."""
+        return self._counts
 
 
-def _dense_walk(
-    order_list: list,
-    start: int,
-    stop: int,
-    truth_list: list,
-    rows_true: list,
-    rows_false: list,
-    counts_list: list,
-    totals_list: list,
-    log_num_list: list,
-    log_den_list: list,
-    dlb0: float,
-    dlb1: float,
-    thresholds_list: list,
-) -> int:
-    """Exact sequential table walk over ``order_list[start:stop]``.
+def make_walk(claims: ClaimMatrix, priors: LTMPriors, truth: np.ndarray, counts: np.ndarray):
+    """The sweep for one chain: compiled when the platform builds it, else Python.
 
-    This is the semantic ground truth of the kernel: re-evaluate every fact's
-    Equation-2 log-ratio against the live counts and flip in place.  The
-    pre-pass and dirty-mask machinery above are pure caching layers over it.
+    ``truth`` is the initial assignment and ``counts`` the ``(S, 2, 2)``
+    confusion counts under it; the walk keeps its own copies of both.
     """
-    flips = 0
-    for k in range(start, stop):
-        fact = order_list[k]
-        current = truth_list[fact]
-        rows = rows_true[fact] if current else rows_false[fact]
-        acc = 0.0
-        for a, cb, c, tb, e, co, h, to in rows:
-            acc += (
-                log_num_list[a + counts_list[cb] - 1]
-                - log_den_list[c + totals_list[tb] - 1]
-            ) - (
-                log_num_list[e + counts_list[co]]
-                - log_den_list[h + totals_list[to]]
-            )
-        if (acc + (dlb1 if current else dlb0)) < thresholds_list[fact]:
-            for _, ci_c, _, ti_c, _, ci_o, _, ti_o in rows:
-                counts_list[ci_c] -= 1
-                counts_list[ci_o] += 1
-                totals_list[ti_c] -= 1
-                totals_list[ti_o] += 1
-            truth_list[fact] = 1 - current
-            flips += 1
-    return flips
+    tables = KernelTables(claims, priors)
+    sweep_fn = compiled_sweep()
+    if sweep_fn is None:
+        return PythonWalk(claims, tables, truth, counts)
+    return CompiledWalk(claims, tables, truth, counts, sweep_fn)
+
+
+# -- the compiled backend --------------------------------------------------------
+_build_lock = threading.Lock()
+#: Empty until the process's one build attempt; then ``[sweep function or None]``.
+_build_result: list = []
+
+
+def compiled_sweep():
+    """The compiled sweep function, building it on first use; ``None`` if unavailable."""
+    if not _build_result:
+        with _build_lock:
+            if not _build_result:
+                _build_result.append(_build())
+    return _build_result[0]
+
+
+def backend_name() -> str:
+    """``"compiled"`` or ``"python"``: the backend the next fit runs.
+
+    Cheap: before the process's build attempt it only checks that a C
+    compiler is on ``PATH``, and never compiles anything.
+    """
+    if _build_result:
+        return "python" if _build_result[0] is None else "compiled"
+    return "compiled" if _find_compiler() else "python"
+
+
+def _find_compiler() -> str | None:
+    for name in _COMPILERS:
+        path = shutil.which(name)
+        if path:
+            return path
+    return None
+
+
+def _build():
+    """Compile and load ``gibbs_sweep.c``; ``None`` on any failure."""
+    compiler = _find_compiler()
+    if compiler is None:
+        return None
+    try:
+        workdir = tempfile.mkdtemp(prefix="repro-gibbs-")
+    except OSError:
+        return None
+    try:
+        library = os.path.join(workdir, "gibbs_sweep.so")
+        done = subprocess.run(
+            [compiler, *_CFLAGS, "-o", library, str(_SOURCE)],
+            stdin=subprocess.DEVNULL,
+            capture_output=True,
+            timeout=120,
+        )
+        if done.returncode != 0:
+            return None
+        sweep_fn = ctypes.CDLL(library).ltm_gibbs_sweep
+    except (OSError, AttributeError, subprocess.SubprocessError):
+        return None
+    finally:
+        # The loaded library stays mapped after its file is removed.
+        shutil.rmtree(workdir, ignore_errors=True)
+    pointer = ctypes.c_void_p
+    sweep_fn.restype = ctypes.c_int64
+    sweep_fn.argtypes = [
+        ctypes.c_int64, ctypes.c_int64,  # num_facts, num_claims
+        pointer, pointer, pointer, pointer,  # fact_ptr, claim_index, log_num, log_den
+        pointer, pointer, pointer,  # counts, totals, truth (updated in place)
+        pointer, pointer,  # uniforms, thresholds
+        ctypes.c_double, ctypes.c_double, ctypes.c_double,  # prior_true, dlb0, dlb1
+    ]
+    return sweep_fn

@@ -41,9 +41,9 @@ class LatentTruthModel(TruthMethod):
     seed:
         Random seed for reproducible fits.
     kernel:
-        Gibbs sweep implementation: ``"scalar"``, ``"blocked"`` or ``"auto"``
-        (the default — pick the fastest).  Kernels are exact-seed
-        bit-identical; the choice affects wall-clock only.
+        Deprecated and ignored (see :attr:`GibbsConfig.kernel
+        <repro.core.gibbs.GibbsConfig.kernel>`); the Gibbs sweep backend
+        follows from the platform.
 
     Examples
     --------

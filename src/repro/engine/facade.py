@@ -519,8 +519,6 @@ class TruthEngine:
                 flip_fraction=flip_fraction,
                 kernel=trace.kernel,
             )
-            if trace.block_count:
-                span.set(block_count=trace.block_count)
 
     def _combined_history(self) -> RawDatabase:
         """Everything seen so far: the fitted source (if any) plus batches.

@@ -96,13 +96,16 @@ def runtime_scaling_study(
     subsets:
         Claim matrices of increasing size.
     repeats:
-        Number of timed repetitions per subset; the average is used.
+        Number of timed repetitions per subset; the fastest is used.  The
+        minimum is the least noisy estimate of a deterministic computation's
+        cost: interference (other processes, a one-time warm-up such as the
+        first fit building the compiled Gibbs sweep) only ever adds time.
 
     Returns
     -------
     (measurements, fit):
         ``measurements`` is one dict per subset with the number of entities,
-        facts, claims and the average runtime; ``fit`` is the linear
+        facts, claims and the minimum runtime; ``fit`` is the linear
         regression of runtime on claims (Figure 6's regression line).
     """
     if repeats <= 0:
@@ -119,7 +122,7 @@ def runtime_scaling_study(
                 "entities": float(subset.num_entities),
                 "facts": float(subset.num_facts),
                 "claims": float(subset.num_claims),
-                "runtime_seconds": float(np.mean(runtimes)),
+                "runtime_seconds": float(min(runtimes)),
             }
         )
     fit = linear_fit(

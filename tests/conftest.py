@@ -98,3 +98,22 @@ def small_synthetic():
         num_facts=400, num_sources=12, alpha0=(5.0, 45.0), alpha1=(6.0, 4.0), seed=3
     )
     return generate_ltm_dataset_with_parameters(config)
+
+
+# ---------------------------------------------------------------------------
+# Gibbs sweep backends.
+# ---------------------------------------------------------------------------
+@pytest.fixture(params=["python", "compiled"])
+def sweep_backend(request, monkeypatch):
+    """Run the test once per Gibbs sweep backend.
+
+    ``python`` records a failed build so every fit takes the Python walk;
+    ``compiled`` skips where the platform cannot build the C sweep.
+    """
+    from repro.core import gibbs_vec
+
+    if request.param == "python":
+        monkeypatch.setattr(gibbs_vec, "_build_result", [None])
+    elif gibbs_vec.compiled_sweep() is None:
+        pytest.skip("no working C compiler: the compiled sweep is unavailable")
+    return request.param

@@ -4,9 +4,9 @@ Each case runs one seeded chain and reduces everything observable about it —
 posterior scores, final confusion counts, the per-sweep flip sequence,
 checkpoint snapshots and the truth arrays handed to ``callback`` — to one
 SHA-256 digest.  ``golden_chains.json`` holds the digests the original
-scalar/blocked kernels produced; every sweep backend must reproduce each of
-them bit for bit.  The digests are data, not a regeneration target: a change
-that moves one changes the sampled chain.
+scalar/blocked kernels produced; both sweep backends (compiled C and the
+Python walk) must reproduce each of them bit for bit.  The digests are data,
+not a regeneration target: a change that moves one changes the sampled chain.
 """
 
 from __future__ import annotations
@@ -18,13 +18,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import PAPER_EXAMPLE_TRIPLES
 from repro.core.gibbs import CollapsedGibbsSampler, GibbsConfig
 from repro.core.priors import LTMPriors
 from repro.data.claim_builder import build_claim_matrix
 from repro.data.dataset import ClaimMatrix
 from repro.data.records import Fact
-from repro.io.catalog import default_catalog
+from repro.io.catalog import PAPER_EXAMPLE_TRIPLES, default_catalog
 from repro.synth.movies import MovieDirectorConfig, MovieDirectorSimulator
 from repro.types import Triple
 
@@ -144,5 +143,5 @@ def test_golden_file_covers_every_case():
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_chain_matches_golden_digest(case):
+def test_chain_matches_golden_digest(case, sweep_backend):
     assert CASES[case]() == GOLDEN[case]
