@@ -3,10 +3,13 @@
 Times 100-iteration LTM fits on nested entity subsets of the movie data and
 regresses runtime on the number of claims.  The paper reports an R-squared of
 0.9913 for the linear fit; the exact slope depends on the machine, but the
-relationship must remain strongly linear here too.  Each point is the
-fastest of ``REPEATS`` fits: a compiled-sweep fit takes milliseconds, where a
-single stall (or the process's one-time build of the sweep) would otherwise
-decide the regression.
+relationship must remain strongly linear here too.
+
+With the compiled Gibbs sweep a fit takes a few milliseconds, and on a
+shared machine speed swings by ~1.5x for stretches of a few fits.  Each
+point is therefore the fastest of ``REPEATS`` fits, taken round-robin over
+the subsets, so a slow stretch cannot land on every fit of one point (and
+the process's one-time build of the sweep never decides a point).
 """
 
 from conftest import SEED, write_result
@@ -16,7 +19,7 @@ from repro.evaluation.scaling import entity_subsets, runtime_scaling_study
 
 FRACTIONS = (0.2, 0.4, 0.6, 0.8, 1.0)
 ITERATIONS = 100
-REPEATS = 5
+REPEATS = 10
 
 
 def test_fig6_runtime_linear_in_claims(benchmark, movie_dataset, results_dir):

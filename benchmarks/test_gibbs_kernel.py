@@ -20,7 +20,7 @@ from repro.core.gibbs import CollapsedGibbsSampler, GibbsConfig
 from repro.core.priors import LTMPriors
 
 ITERATIONS = 100
-REPEATS = 3
+REPEATS = 5
 # Asserted floor for the compiled sweep vs the Python walk, same seed.
 SPEEDUP_FLOOR = 15.0
 

@@ -96,10 +96,11 @@ def runtime_scaling_study(
     subsets:
         Claim matrices of increasing size.
     repeats:
-        Number of timed repetitions per subset; the fastest is used.  The
-        minimum is the least noisy estimate of a deterministic computation's
-        cost: interference (other processes, a one-time warm-up such as the
-        first fit building the compiled Gibbs sweep) only ever adds time.
+        Number of timed passes over all subsets; each subset reports its
+        fastest fit.  The minimum is the least noisy estimate of a
+        deterministic computation's cost: interference (other processes, a
+        one-time warm-up such as the first fit building the compiled Gibbs
+        sweep) only ever adds time.
 
     Returns
     -------
@@ -110,21 +111,24 @@ def runtime_scaling_study(
     """
     if repeats <= 0:
         raise EvaluationError("repeats must be positive")
-    measurements: list[dict[str, float]] = []
-    for subset in subsets:
-        runtimes = []
-        for _ in range(repeats):
-            method = method_factory()
-            result = method.fit(subset)
-            runtimes.append(result.runtime_seconds)
-        measurements.append(
-            {
-                "entities": float(subset.num_entities),
-                "facts": float(subset.num_facts),
-                "claims": float(subset.num_claims),
-                "runtime_seconds": float(min(runtimes)),
-            }
-        )
+    subsets = list(subsets)
+    # Repeats run round-robin over the subsets, so a slow stretch of the
+    # machine lands on one repeat of several points rather than on every
+    # repeat of one point.
+    best = [float("inf")] * len(subsets)
+    for _ in range(repeats):
+        for position, subset in enumerate(subsets):
+            result = method_factory().fit(subset)
+            best[position] = min(best[position], result.runtime_seconds)
+    measurements = [
+        {
+            "entities": float(subset.num_entities),
+            "facts": float(subset.num_facts),
+            "claims": float(subset.num_claims),
+            "runtime_seconds": float(runtime),
+        }
+        for subset, runtime in zip(subsets, best)
+    ]
     fit = linear_fit(
         [m["claims"] for m in measurements],
         [m["runtime_seconds"] for m in measurements],

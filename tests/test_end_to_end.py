@@ -132,7 +132,7 @@ class TestRuntimeScaling:
             medium_book_dataset_module.claims, fractions=(0.25, 0.5, 0.75, 1.0), seed=0
         )
         measurements, fit = runtime_scaling_study(
-            lambda: LatentTruthModel(iterations=20, seed=0), subsets, repeats=3
+            lambda: LatentTruthModel(iterations=20, seed=0), subsets, repeats=5
         )
         assert len(measurements) == 4
         assert fit.slope > 0
