@@ -20,6 +20,12 @@ Two construction paths produce identical matrices:
   entity / attribute / source columns with numpy instead of per-triple
   appends, used by :func:`build_claim_matrix` (and hence the engine and the
   :mod:`repro.io` sources) for chunked ingestion at scale.
+
+The vectorized rules run on columns.  Row input (``Triple`` objects,
+3-tuples, a :class:`~repro.data.raw.RawDatabase`) is transposed into a
+:class:`~repro.types.TripleColumns` first; a whole triple file read by
+:func:`~repro.data.loaders.read_triple_columns` arrives as columns already,
+so a file-to-matrix build creates no per-row object at all.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from repro.data.raw import RawDatabase
 from repro.data.records import Fact
 from repro.exceptions import DataModelError, DuplicateRowError, EmptyDatasetError
 from repro.store import Column, Schema, Table
-from repro.types import AttributeValue, EntityKey, FactId, SourceName, Triple
+from repro.types import AttributeValue, EntityKey, FactId, SourceName, Triple, TripleColumns
 
 __all__ = [
     "ClaimTableBuilder",
@@ -165,7 +171,9 @@ class ClaimTableBuilder:
 
     # -- vectorized bulk ingest -----------------------------------------------------
     @classmethod
-    def bulk(cls, triples: Iterable[Triple | tuple] | RawDatabase, strict: bool = False) -> ClaimMatrix:
+    def bulk(
+        cls, triples: Iterable[Triple | tuple] | RawDatabase | TripleColumns, strict: bool = False
+    ) -> ClaimMatrix:
         """Vectorized triples-to-matrix path (see :func:`bulk_build_claim_matrix`)."""
         return bulk_build_claim_matrix(triples, strict=strict)
 
@@ -191,8 +199,34 @@ def _factorize_first_seen(values: Sequence) -> tuple[np.ndarray, list]:
     return codes, list(mapping)
 
 
+def _rows_to_columns(rows: Sequence[Triple | tuple]) -> TripleColumns:
+    """Transpose row input (``Triple`` objects and/or 3-tuples) into columns."""
+    if not rows:
+        return TripleColumns((), (), ())
+    try:
+        if isinstance(rows[0], Triple):
+            return TripleColumns(
+                [t.entity for t in rows], [t.attribute for t in rows], [t.source for t in rows]
+            )
+        return TripleColumns(*zip(*rows))
+    except (AttributeError, TypeError, ValueError):
+        # Mixed Triple / tuple input (or wrong arity): normalise and
+        # validate element by element.
+        norm = []
+        for t in rows:
+            if isinstance(t, Triple):
+                norm.append(t.as_tuple())
+            elif len(t) == 3:
+                norm.append((t[0], t[1], t[2]))
+            else:
+                raise DataModelError(
+                    f"expected (entity, attribute, source) triples, got {t!r}"
+                ) from None
+        return TripleColumns(*zip(*norm))
+
+
 def bulk_build_claim_matrix(
-    triples: Iterable[Triple | tuple] | RawDatabase, strict: bool = False
+    triples: Iterable[Triple | tuple] | RawDatabase | TripleColumns, strict: bool = False
 ) -> ClaimMatrix:
     """Build a :class:`~repro.data.dataset.ClaimMatrix` from triples, vectorized.
 
@@ -208,40 +242,32 @@ def bulk_build_claim_matrix(
     Parameters
     ----------
     triples:
-        Raw assertion triples (``Triple`` objects or plain 3-tuples) or an
-        existing :class:`~repro.data.raw.RawDatabase`.
+        Raw assertion triples (``Triple`` objects or plain 3-tuples), an
+        existing :class:`~repro.data.raw.RawDatabase`, or
+        :class:`~repro.types.TripleColumns` (what
+        :func:`~repro.data.loaders.read_triple_columns` returns).  Row input
+        is transposed into columns first; columns go to the rules as-is.
     strict:
         When true, exact duplicate triples raise
         :class:`~repro.exceptions.DuplicateRowError` (mirroring
         ``RawDatabase(strict=True)``); when false duplicates are dropped.
     """
-    if isinstance(triples, RawDatabase):
-        strict = False  # a RawDatabase is already de-duplicated
-    rows = triples if isinstance(triples, (list, tuple)) else list(triples)
-    if not rows:
-        raise EmptyDatasetError("the raw database contains no triples")
-    try:
-        if isinstance(rows[0], Triple):
-            entities = [t.entity for t in rows]
-            attributes = [t.attribute for t in rows]
-            src_col = [t.source for t in rows]
-        else:
-            entities, attributes, src_col = zip(*rows)
-    except (AttributeError, TypeError, ValueError):
-        # Mixed Triple / tuple input (or wrong arity): normalise and
-        # validate element by element.
-        norm = []
-        for t in rows:
-            if isinstance(t, Triple):
-                norm.append(t.as_tuple())
-            elif len(t) == 3:
-                norm.append((t[0], t[1], t[2]))
-            else:
-                raise DataModelError(
-                    f"expected (entity, attribute, source) triples, got {t!r}"
-                ) from None
-        entities, attributes, src_col = zip(*norm)
+    if isinstance(triples, TripleColumns):
+        columns = triples
+    else:
+        if isinstance(triples, RawDatabase):
+            strict = False  # a RawDatabase is already de-duplicated
+        rows = triples if isinstance(triples, (list, tuple)) else list(triples)
+        columns = _rows_to_columns(rows)
+    return _claims_from_columns(columns, strict)
 
+
+def _claims_from_columns(columns: TripleColumns, strict: bool) -> ClaimMatrix:
+    """Definitions 2-3 over column input: the one core every build runs."""
+    entities, attributes, src_col = columns.entities, columns.attributes, columns.sources
+    num_triples = len(columns)
+    if not num_triples:
+        raise EmptyDatasetError("the raw database contains no triples")
     ent_codes, _ = _factorize_first_seen(entities)
     attr_codes, _ = _factorize_first_seen(attributes)
     src_codes, source_names = _factorize_first_seen(src_col)
@@ -267,8 +293,8 @@ def bulk_build_claim_matrix(
     # triple-scan order (what the sequential builder appends).
     pos_keys = fact_of_triple * num_sources + src_codes
     uniq_pos, pos_first = np.unique(pos_keys, return_index=True)
-    if strict and len(uniq_pos) != len(rows):
-        dup = int(np.setdiff1d(np.arange(len(rows)), pos_first)[0])
+    if strict and len(uniq_pos) != num_triples:
+        dup = int(np.setdiff1d(np.arange(num_triples), pos_first)[0])
         raise DuplicateRowError(
             f"duplicate raw triple {(entities[dup], attributes[dup], src_col[dup])!r}"
         )
@@ -315,7 +341,9 @@ def bulk_build_claim_matrix(
     )
 
 
-def build_claim_matrix(triples: Iterable[Triple | tuple] | RawDatabase, strict: bool = False) -> ClaimMatrix:
+def build_claim_matrix(
+    triples: Iterable[Triple | tuple] | RawDatabase | TripleColumns, strict: bool = False
+) -> ClaimMatrix:
     """Convenience function: triples (or a raw database) straight to a claim matrix.
 
     Routes through the vectorized :func:`bulk_build_claim_matrix`, which is

@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import csv
 import json
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -25,10 +26,11 @@ from repro.data.dataset import ClaimMatrix, TruthDataset
 from repro.data.raw import RawDatabase
 from repro.data.records import Fact
 from repro.exceptions import DataModelError
-from repro.types import Triple
+from repro.types import Triple, TripleColumns
 
 __all__ = [
     "iter_triples_csv",
+    "read_triple_columns",
     "load_triples_csv",
     "save_triples_csv",
     "load_labels_csv",
@@ -78,32 +80,80 @@ def save_triples_csv(triples: Iterable[Triple] | RawDatabase, path: str | Path, 
     return count
 
 
+_TRIPLE_HEADER = ["entity", "attribute", "source"]
+
+
+@contextmanager
+def _validated_reader(path: Path, delimiter: str, kind: str, header: list[str]) -> Iterator:
+    """Open ``path`` as a csv reader positioned after a validated header row.
+
+    The one place the delimited readers check their header, so the triple
+    and label readers raise the same messages for empty and mis-headed files.
+    """
+    _check_delimiter(delimiter)
+    with path.open("r", newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle, delimiter=delimiter, **_CSV_DIALECT)
+        found = next(reader, None)
+        if found is None:
+            raise DataModelError(f"{kind} file {path} is empty")
+        if [h.strip().lower() for h in found] != header:
+            raise DataModelError(f"{kind} file {path} must have header {header}, got {found}")
+        yield reader
+
+
+def _arity_error(path: Path, reader: Any, row: list[str]) -> DataModelError:
+    """The error for a non-blank row without exactly three fields.
+
+    ``reader.line_num`` is the physical line the row ended on, so quoted
+    fields spanning several lines do not shift the reported position.
+    """
+    return DataModelError(f"{path}:{reader.line_num}: expected 3 columns, got {len(row)}")
+
+
 def iter_triples_csv(path: str | Path, delimiter: str = "\t") -> Iterator[Triple]:
     """Stream a delimited triple file (with header) one row at a time.
 
     This is the out-of-core read path :class:`~repro.io.sources.TripleFileSource`
-    is built on: the file is validated (header, per-row arity) exactly like
-    :func:`load_triples_csv`, but rows are yielded as they are read — peak
+    iterates with: the file is validated (header, per-row arity) exactly like
+    :func:`read_triple_columns`, but rows are yielded as they are read — peak
     memory is one row, regardless of file size.  Unlike the eager loader,
     duplicate rows are *not* collapsed here; claim-matrix construction
     deduplicates downstream.
     """
     path = Path(path)
-    _check_delimiter(delimiter)
-    with path.open("r", newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle, delimiter=delimiter, **_CSV_DIALECT)
-        header = next(reader, None)
-        if header is None:
-            raise DataModelError(f"triple file {path} is empty")
-        expected = ["entity", "attribute", "source"]
-        if [h.strip().lower() for h in header] != expected:
-            raise DataModelError(f"triple file {path} must have header {expected}, got {header}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise DataModelError(f"{path}:{line_no}: expected 3 columns, got {len(row)}")
-            yield Triple(row[0], row[1], row[2])
+    with _validated_reader(path, delimiter, "triple", _TRIPLE_HEADER) as reader:
+        for row in reader:
+            if len(row) == 3:
+                yield Triple(row[0], row[1], row[2])
+            elif row:
+                raise _arity_error(path, reader, row)
+
+
+def read_triple_columns(path: str | Path, delimiter: str = "\t") -> TripleColumns:
+    """Read a whole delimited triple file as three columns in one pass.
+
+    The batch counterpart of :func:`iter_triples_csv`: same dialect, same
+    validation and error messages, same rows (blank lines skipped,
+    duplicates kept), but no per-row :class:`~repro.types.Triple` — the
+    fields go straight into entity / attribute / source lists, the input
+    :func:`~repro.data.claim_builder.bulk_build_claim_matrix` encodes
+    without a further pass over the rows.
+    """
+    path = Path(path)
+    entities: list[str] = []
+    attributes: list[str] = []
+    sources: list[str] = []
+    add_entity, add_attribute, add_source = entities.append, attributes.append, sources.append
+    with _validated_reader(path, delimiter, "triple", _TRIPLE_HEADER) as reader:
+        for row in reader:
+            if len(row) == 3:
+                entity, attribute, source = row
+                add_entity(entity)
+                add_attribute(attribute)
+                add_source(source)
+            elif row:
+                raise _arity_error(path, reader, row)
+    return TripleColumns(entities, attributes, sources)
 
 
 def load_triples_csv(path: str | Path, delimiter: str = "\t", strict: bool = False) -> RawDatabase:
@@ -135,31 +185,26 @@ def save_labels_csv(
     return count
 
 
+#: The only truth values a label file may hold.
+_LABEL_VALUES = {"0": False, "1": True}
+
+
 def load_labels_csv(path: str | Path, delimiter: str = "\t") -> dict[tuple[str, str], bool]:
     """Read ``(entity, attribute) -> truth`` labels from a delimited file."""
     path = Path(path)
-    _check_delimiter(delimiter)
     labels: dict[tuple[str, str], bool] = {}
-    with path.open("r", newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle, delimiter=delimiter, **_CSV_DIALECT)
-        header = next(reader, None)
-        if header is None:
-            raise DataModelError(f"label file {path} is empty")
-        expected = ["entity", "attribute", "truth"]
-        if [h.strip().lower() for h in header] != expected:
-            raise DataModelError(f"label file {path} must have header {expected}, got {header}")
-        for line_no, row in enumerate(reader, start=2):
+    with _validated_reader(path, delimiter, "label", ["entity", "attribute", "truth"]) as reader:
+        for row in reader:
             if not row:
                 continue
             if len(row) != 3:
-                raise DataModelError(f"{path}:{line_no}: expected 3 columns, got {len(row)}")
-            try:
-                truth = int(row[2])
-            except ValueError as exc:
+                raise _arity_error(path, reader, row)
+            truth = _LABEL_VALUES.get(row[2].strip())
+            if truth is None:
                 raise DataModelError(
-                    f"{path}:{line_no}: truth column must be 0 or 1, got {row[2]!r}"
-                ) from exc
-            labels[(row[0], row[1])] = bool(truth)
+                    f"{path}:{reader.line_num}: truth column must be 0 or 1, got {row[2]!r}"
+                )
+            labels[(row[0], row[1])] = truth
     return labels
 
 

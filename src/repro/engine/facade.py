@@ -419,9 +419,9 @@ class TruthEngine:
             backend=self.config.execution.backend,
             num_shards=self.config.execution.num_shards,
         ) as span:
-            return self._fit(data, span)
+            return self._fit(data, tracer, span)
 
-    def _fit(self, data: Any, span: Any) -> "TruthEngine":
+    def _fit(self, data: Any, tracer: Any, span: Any) -> "TruthEngine":
         """The :meth:`fit` body, reporting into the ambient ``fit`` span."""
         source: "DataSource | None" = None
         if _is_source_like(data):
@@ -433,18 +433,26 @@ class TruthEngine:
             else:
                 data = resolved.iter_triples()
         corpus: Any
+        # Every branch reports its claim matrix in one ``claims.build`` child
+        # span; for a streaming source that includes reading the source.
         if source is not None:
             # Out-of-core fit: the source *is* the history — no engine-side
             # copy of the triples, only the (columnar) claim matrix.
             self._reset_state()
             self._history_source = source
-            if next(iter(source.iter_triples()), None) is None:
-                raise EmptyDatasetError("the data source contains no triples")
-            claims = source.to_claim_matrix()
+            with tracer.span("claims.build", input="source") as build:
+                if next(iter(source.iter_triples()), None) is None:
+                    raise EmptyDatasetError("the data source contains no triples")
+                claims = source.to_claim_matrix()
+                if tracer.enabled:  # a store source counts its triples with a query
+                    build.set(triples=source.schema().num_triples, claims=claims.num_claims)
             corpus = source
         elif isinstance(data, ClaimMatrix):
             self._reset_state()
-            claims = data
+            with tracer.span("claims.build", input="matrix") as build:
+                claims = data
+                if tracer.enabled:
+                    build.set(triples=claims.num_positive_claims, claims=claims.num_claims)
             corpus = None
         else:
             if data is None:
@@ -453,8 +461,10 @@ class TruthEngine:
                 self._reset_state()
                 self._history.extend(data)
                 corpus = self._history
-            corpus.require_non_empty()
-            claims = build_claim_matrix(corpus, strict=False)
+            with tracer.span("claims.build", input="triples") as build:
+                corpus.require_non_empty()
+                claims = build_claim_matrix(corpus, strict=False)
+                build.set(triples=len(corpus), claims=claims.num_claims)
 
         started = time.perf_counter()
         if self.config.execution.sharded:

@@ -22,8 +22,14 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
-from repro.data.dataset import TruthDataset
-from repro.data.loaders import iter_triples_csv, load_dataset_json, load_labels_csv
+from repro.data.claim_builder import bulk_build_claim_matrix
+from repro.data.dataset import ClaimMatrix, TruthDataset
+from repro.data.loaders import (
+    iter_triples_csv,
+    load_dataset_json,
+    load_labels_csv,
+    read_triple_columns,
+)
 from repro.data.raw import RawDatabase
 from repro.exceptions import ConfigurationError
 from repro.io.base import DataSource, SourceSchema
@@ -92,12 +98,17 @@ class TripleFileSource(DataSource):
     """A delimited triple file with an ``entity/attribute/source`` header.
 
     The delimiter defaults to tab and is inferred as ``","`` for ``.csv``
-    paths.  Rows **stream**: iteration reads (and validates) the file one
-    row at a time via :func:`~repro.data.loaders.iter_triples_csv`, so peak
-    memory is one batch regardless of file size — the file is never
-    materialised into a :class:`~repro.data.raw.RawDatabase` by the source
-    itself.  Duplicate rows are therefore passed through; claim-matrix
-    construction deduplicates downstream, so fits see identical claims.
+    paths.  Iteration **streams**: :meth:`iter_triples` (and hence
+    :meth:`iter_batches`) reads and validates the file one row at a time via
+    :func:`~repro.data.loaders.iter_triples_csv`, so peak memory is one
+    batch regardless of file size — the file is never materialised into a
+    :class:`~repro.data.raw.RawDatabase` by the source itself.
+    :meth:`to_claim_matrix`, which needs every triple anyway, instead reads
+    the whole file as three columns in one pass
+    (:func:`~repro.data.loaders.read_triple_columns`) and hands them to the
+    vectorized builder without creating a per-row object.  Both reads
+    validate identically and pass duplicate rows through; claim-matrix
+    construction deduplicates, so fits see identical claims either way.
 
     Parameters
     ----------
@@ -148,6 +159,11 @@ class TripleFileSource(DataSource):
             yield triple
         # Only a complete pass knows the size; cache it for schema().
         self._num_triples = count
+
+    def to_claim_matrix(self) -> ClaimMatrix:
+        columns = read_triple_columns(self.path, delimiter=self.delimiter)
+        self._num_triples = len(columns)
+        return bulk_build_claim_matrix(columns)
 
     def labels(self) -> dict[tuple[EntityKey, AttributeValue], bool] | None:
         if self.labels_path is None:

@@ -5,7 +5,8 @@ two primitives:
 
 * **Tracing** (:mod:`repro.obs.trace`) — nested, wall-clock-timed spans
   covering the full lifecycle: ``fit`` / ``partial_fit``
-  (:class:`~repro.engine.TruthEngine`), chunked ``gibbs.iteration`` spans
+  (:class:`~repro.engine.TruthEngine`) with a ``claims.build`` child around
+  each fit's claim-matrix build, chunked ``gibbs.iteration`` spans
   (:class:`~repro.core.gibbs.CollapsedGibbsSampler`), ``shard.plan`` /
   ``shard.fit`` / ``shard.merge`` (:mod:`repro.parallel` — worker spans
   cross process boundaries as plain dicts and are grafted into one tree),

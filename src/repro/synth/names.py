@@ -49,6 +49,8 @@ _TITLE_NOUNS = (
     "Chronicle",
 )
 
+_ALPHABET = tuple("abcdefghijklmnopqrstuvwxyz")
+
 
 class NameGenerator:
     """Seeded generator of unique person names and work titles.
@@ -65,19 +67,25 @@ class NameGenerator:
         self._used_people: set[str] = set()
         self._used_titles: set[str] = set()
 
+    def _pick(self, words: tuple[str, ...]) -> str:
+        """One uniform draw from ``words``.
+
+        Consumes the generator exactly like ``rng.choice(words)`` (one
+        bounded integer draw), without converting ``words`` to an array on
+        every call — the retry loops below make up to 100 draws per name.
+        """
+        return words[self._rng.integers(0, len(words))]
+
     def person_name(self) -> str:
         """A unique "First Last" (suffixed with a number once combinations run out)."""
+        pick = self._pick
         for _ in range(50):
-            name = (
-                f"{self._rng.choice(_FIRST_NAMES)} {self._rng.choice(_LAST_NAMES)}"
-            )
+            name = f"{pick(_FIRST_NAMES)} {pick(_LAST_NAMES)}"
             if name not in self._used_people:
                 self._used_people.add(name)
                 return name
         serial = len(self._used_people) + 1
-        name = (
-            f"{self._rng.choice(_FIRST_NAMES)} {self._rng.choice(_LAST_NAMES)} {serial}"
-        )
+        name = f"{pick(_FIRST_NAMES)} {pick(_LAST_NAMES)} {serial}"
         self._used_people.add(name)
         return name
 
@@ -87,17 +95,14 @@ class NameGenerator:
 
     def work_title(self, prefix: str = "The") -> str:
         """A unique work title like "The Silent Harbor"."""
+        pick = self._pick
         for _ in range(50):
-            title = (
-                f"{prefix} {self._rng.choice(_TITLE_ADJECTIVES)} {self._rng.choice(_TITLE_NOUNS)}"
-            )
+            title = f"{prefix} {pick(_TITLE_ADJECTIVES)} {pick(_TITLE_NOUNS)}"
             if title not in self._used_titles:
                 self._used_titles.add(title)
                 return title
         serial = len(self._used_titles) + 1
-        title = (
-            f"{prefix} {self._rng.choice(_TITLE_ADJECTIVES)} {self._rng.choice(_TITLE_NOUNS)} {serial}"
-        )
+        title = f"{prefix} {pick(_TITLE_ADJECTIVES)} {pick(_TITLE_NOUNS)} {serial}"
         self._used_titles.add(title)
         return title
 
@@ -111,6 +116,5 @@ class NameGenerator:
             return "Unknown"
         characters = list(name)
         position = int(self._rng.integers(0, len(characters)))
-        alphabet = "abcdefghijklmnopqrstuvwxyz"
-        characters[position] = self._rng.choice(list(alphabet))
+        characters[position] = self._pick(_ALPHABET)
         return "".join(characters)

@@ -9,7 +9,9 @@ subpackage agrees on what those objects look like.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Sequence, Union
+
+from repro.exceptions import DataModelError
 
 __all__ = [
     "EntityKey",
@@ -20,6 +22,7 @@ __all__ = [
     "Observation",
     "TruthLabel",
     "Triple",
+    "TripleColumns",
 ]
 
 # An entity key identifies the real-world object a fact is about, e.g. a book
@@ -73,3 +76,27 @@ class Triple:
     def as_tuple(self) -> tuple[EntityKey, AttributeValue, SourceName]:
         """Return the triple as a plain ``(entity, attribute, source)`` tuple."""
         return (self.entity, self.attribute, self.source)
+
+
+@dataclass(frozen=True, slots=True)
+class TripleColumns:
+    """Raw triples stored column-wise: ``entities[i], attributes[i], sources[i]``.
+
+    The same rows as a sequence of :class:`Triple` (duplicates included), in
+    the layout a columnar reader produces and the vectorized claim builder
+    encodes — no per-row object.  The three columns must have equal length.
+    """
+
+    entities: Sequence[EntityKey]
+    attributes: Sequence[AttributeValue]
+    sources: Sequence[SourceName]
+
+    def __post_init__(self) -> None:
+        if not len(self.entities) == len(self.attributes) == len(self.sources):
+            raise DataModelError(
+                "triple columns differ in length: "
+                f"{len(self.entities)}, {len(self.attributes)}, {len(self.sources)}"
+            )
+
+    def __len__(self) -> int:
+        return len(self.entities)

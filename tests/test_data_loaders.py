@@ -1,20 +1,29 @@
 """Round-trip tests for dataset serialisation."""
 
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.data.claim_builder import bulk_build_claim_matrix
 from repro.data.loaders import (
+    _CSV_DIALECT,
+    iter_triples_csv,
     load_dataset_json,
     load_labels_csv,
     load_triples_csv,
+    read_triple_columns,
     save_dataset_json,
     save_labels_csv,
     save_triples_csv,
 )
+from repro.engine import TruthEngine
 from repro.exceptions import DataModelError
-from repro.types import Triple
+from repro.io.sources import DatasetSource, TripleFileSource
+from repro.synth.books import BookAuthorConfig, BookAuthorSimulator
+from repro.types import Triple, TripleColumns
 
 
 class TestTripleCsv:
@@ -51,6 +60,50 @@ class TestTripleCsv:
     def test_quotechar_delimiter_rejected(self, tmp_path):
         with pytest.raises(DataModelError):
             load_triples_csv(tmp_path / "x.tsv", delimiter='"')
+
+    def test_arity_error_reports_the_physical_line(self, tmp_path):
+        # Line 2-3 hold one quoted record, line 4 is blank, the bad row is on
+        # line 6 — the fifth line *record* the reader sees.
+        path = tmp_path / "multiline.tsv"
+        path.write_text('entity\tattribute\tsource\n"a\nb"\tx\ts1\n\ne\tf\ts2\ng\th\n')
+        for read in (lambda p: list(iter_triples_csv(p)), read_triple_columns):
+            with pytest.raises(DataModelError, match=r"multiline\.tsv:6: expected 3 columns"):
+                read(path)
+
+
+class TestTripleColumns:
+    def test_reads_the_rows_the_stream_yields(self, tmp_path):
+        path = tmp_path / "crawl.tsv"
+        rows = [Triple("e1", "a", "s1"), Triple("e1", "a", "s1"), Triple("e2", "b\tc", 's"2')]
+        save_triples_csv(rows, path)
+        columns = read_triple_columns(path)
+        assert isinstance(columns, TripleColumns)
+        assert len(columns) == 3  # duplicates are kept, like the stream
+        rows_back = zip(columns.entities, columns.attributes, columns.sources)
+        assert [Triple(*row) for row in rows_back] == list(iter_triples_csv(path))
+
+    def test_unequal_columns_rejected(self):
+        with pytest.raises(DataModelError, match="differ in length"):
+            TripleColumns(["e1", "e2"], ["a"], ["s"])
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            "",
+            "a\tb\tc\n1\t2\t3\n",
+            "entity\tattribute\tsource\nonly-two\tcolumns\n",
+            "entity\tattribute\tsource\ne\ta\ts\n\ne\ta\ts\textra\n",
+        ],
+        ids=["empty", "bad-header", "two-columns", "four-columns"],
+    )
+    def test_errors_identical_to_the_stream(self, content, tmp_path):
+        path = tmp_path / "bad.tsv"
+        path.write_text(content)
+        with pytest.raises(DataModelError) as streamed:
+            list(iter_triples_csv(path))
+        with pytest.raises(DataModelError) as columnar:
+            read_triple_columns(path)
+        assert str(columnar.value) == str(streamed.value)
 
 
 # Values deliberately include the tab / comma delimiters, quotes, carriage
@@ -89,6 +142,61 @@ class TestRoundTripProperties:
         assert load_labels_csv(path, delimiter=delimiter) == labels
 
 
+def _write_triple_file(path, rows, delimiter, blank_before):
+    """Write ``rows`` under a header, with a blank line wherever ``blank_before`` says."""
+    with path.open("w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle, delimiter=delimiter, **_CSV_DIALECT)
+        writer.writerow(["entity", "attribute", "source"])
+        for row, blank in zip(rows, blank_before):
+            if blank:
+                handle.write("\r\n")
+            writer.writerow(row.as_tuple())
+        if blank_before[-1]:
+            handle.write("\n")
+
+
+def _assert_same_matrix(expected, actual):
+    assert actual.source_names == expected.source_names
+    assert actual.facts == expected.facts
+    for field in ("claim_fact", "claim_source", "claim_obs", "fact_ptr"):
+        left, right = getattr(expected, field), getattr(actual, field)
+        assert left.dtype == right.dtype and np.array_equal(left, right), field
+
+
+class TestFileIngestParity:
+    """A file source's columnar build equals the build over its row stream."""
+
+    @settings(
+        max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(triples=_triples_strategy, suffix=st.sampled_from([".tsv", ".csv"]), data=st.data())
+    def test_to_claim_matrix_matches_row_stream(self, triples, suffix, data, tmp_path):
+        # Duplicate some rows, shuffle, and scatter blank lines between them.
+        rows = triples + data.draw(st.lists(st.sampled_from(triples), max_size=6))
+        rows = data.draw(st.permutations(rows))
+        slots = len(rows) + 1
+        blank_before = data.draw(st.lists(st.booleans(), min_size=slots, max_size=slots))
+        path = tmp_path / f"crawl{suffix}"
+        _write_triple_file(path, rows, "," if suffix == ".csv" else "\t", blank_before)
+
+        source = TripleFileSource(path)
+        streamed = bulk_build_claim_matrix(list(iter_triples_csv(path, delimiter=source.delimiter)))
+        _assert_same_matrix(streamed, source.to_claim_matrix())
+        assert source.schema().num_triples == len(rows)
+
+    def test_ltm_fit_from_file_is_bit_identical_to_in_memory(self, tmp_path):
+        dataset = BookAuthorSimulator(BookAuthorConfig.small(seed=3)).generate()
+        path = tmp_path / "crawl.tsv"
+        save_triples_csv(DatasetSource(dataset).iter_triples(), path)
+        from_file = TruthEngine(method="ltm", iterations=40, seed=11).fit(str(path)).fact_scores
+        in_memory = TruthEngine(method="ltm", iterations=40, seed=11).fit(
+            list(iter_triples_csv(path))
+        ).fact_scores
+        assert list(from_file) == list(in_memory)
+        as_bytes = [np.array(list(scores.values())).tobytes() for scores in (from_file, in_memory)]
+        assert as_bytes[0] == as_bytes[1]
+
+
 class TestLabelCsv:
     def test_round_trip(self, tmp_path):
         labels = {("book1", "alice"): True, ("book1", "bob"): False}
@@ -113,6 +221,14 @@ class TestLabelCsv:
         path = tmp_path / "labels.tsv"
         path.write_text("entity\tattribute\ttruth\nbook\talice\tmaybe\n")
         with pytest.raises(DataModelError, match="truth column"):
+            load_labels_csv(path)
+
+    @pytest.mark.parametrize("value", ["7", "-1", "2"])
+    def test_integer_truth_other_than_0_or_1_rejected(self, value, tmp_path):
+        path = tmp_path / "labels.tsv"
+        path.write_text(f"entity\tattribute\ttruth\nbook\talice\t1\nbook\tbob\t{value}\n")
+        message = f"labels.tsv:3: truth column must be 0 or 1, got '{value}'"
+        with pytest.raises(DataModelError, match=message):
             load_labels_csv(path)
 
 

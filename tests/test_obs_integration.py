@@ -102,6 +102,30 @@ class TestEngineFitSpans:
         assert sum(chunk["attributes"]["iterations"] for chunk in chunks) == 30
         for chunk in chunks:
             assert 0.0 <= chunk["attributes"]["flip_fraction"] <= 1.0
+        # The claim matrix is built under one claims.build child of the fit.
+        (build,) = spans["claims.build"]
+        assert build["parent_id"] == fit["span_id"]
+        assert build["attributes"] == {"input": "triples", "triples": 8, "claims": attrs["triples"]}
+
+    def test_claims_build_span_on_file_and_matrix_fits(self, tmp_path):
+        from repro.data.claim_builder import build_claim_matrix
+        from repro.data.loaders import save_triples_csv
+
+        triples = _triples_for(6) + [Triple("e0", "true_0", "good0")]  # one duplicate row
+        path = tmp_path / "crawl.tsv"
+        save_triples_csv(triples, path)
+        matrix = build_claim_matrix(triples)
+        tracer = obs.configure()
+        TruthEngine(method="voting").fit(str(path))
+        TruthEngine(method="voting").fit(matrix)
+        spans = tracer.collector.spans
+        fits = [span for span in spans if span["name"] == "fit"]
+        builds = [span for span in spans if span["name"] == "claims.build"]
+        assert [build["parent_id"] for build in builds] == [fit["span_id"] for fit in fits]
+        assert [build["attributes"] for build in builds] == [
+            {"input": "source", "triples": len(triples), "claims": matrix.num_claims},
+            {"input": "matrix", "triples": len(triples) - 1, "claims": matrix.num_claims},
+        ]
 
     def test_last_trace_matches_paper_schedule(self):
         engine = TruthEngine(method="ltm", iterations=50, seed=3).fit("paper_example")
