@@ -4,9 +4,11 @@ Each case runs one seeded chain and reduces everything observable about it —
 posterior scores, final confusion counts, the per-sweep flip sequence,
 checkpoint snapshots and the truth arrays handed to ``callback`` — to one
 SHA-256 digest.  ``golden_chains.json`` holds the digests the original
-scalar/blocked kernels produced; both sweep backends (compiled C and the
-Python walk) must reproduce each of them bit for bit.  The digests are data,
-not a regeneration target: a change that moves one changes the sampled chain.
+scalar/blocked kernels produced; cases added later (the 500-sweep budgets and
+the 30-60-source corpora) were frozen from the sweep as it stood before the
+next kernel change.  Both sweep backends (compiled C and the Python walk) must
+reproduce each of them bit for bit.  The digests are data, not a regeneration
+target: a change that moves one changes the sampled chain.
 """
 
 from __future__ import annotations
@@ -33,13 +35,14 @@ GOLDEN = json.loads((Path(__file__).parent / "golden_chains.json").read_text())
 CATALOG_CASES = [
     ("paper_example", 100),
     ("books_small", 100),
+    ("books_small", 500),
     ("movies_small", 100),
     ("books", 50),
     ("movies", 20),
     ("adversarial", 20),
     ("ltm_generative", 7),
 ]
-PAPER_BUDGETS = [7, 10, 20, 50, 100, 200]
+PAPER_BUDGETS = [7, 10, 20, 50, 100, 200, 500]
 
 
 def chain_digest(result, snapshots=()) -> str:
@@ -120,6 +123,33 @@ def _random_corpus_chain(seed: int) -> str:
     return _schedule_chain(build_claim_matrix(triples), 20, seed=seed + 100)
 
 
+def _many_source_chain(seed: int) -> str:
+    """30-60 sources, some asserting only positive and some only negative claims."""
+    rng = np.random.default_rng(seed)
+    num_sources = int(rng.integers(30, 61))
+    num_facts = int(rng.integers(40, 120))
+    # Per source: 0 = mixed observations, 1 = positive only, 2 = negative only.
+    kinds = rng.integers(0, 3, size=num_sources)
+    kinds[:2] = (1, 2)
+    claim_fact, claim_source, claim_obs = [], [], []
+    for fact in range(num_facts):
+        # Degree 0 interleaves claimless facts with claimed ones.
+        degree = int(rng.integers(0, 9))
+        for source in rng.choice(num_sources, size=degree, replace=False).tolist():
+            mixed = bool(rng.random() < 0.6)
+            claim_fact.append(fact)
+            claim_source.append(source)
+            claim_obs.append({0: mixed, 1: True, 2: False}[int(kinds[source])])
+    claims = ClaimMatrix(
+        facts=[Fact(f, f"e{f // 3}", f"v{f}") for f in range(num_facts)],
+        source_names=[f"s{s}" for s in range(num_sources)],
+        claim_fact=claim_fact,
+        claim_source=claim_source,
+        claim_obs=claim_obs,
+    )
+    return _schedule_chain(claims, 50, seed=seed + 200)
+
+
 CASES = {
     **{
         f"catalog/{key}-{budget}": (lambda key=key, budget=budget: _schedule_chain(_catalog_claims(key), budget, seed=13))
@@ -135,6 +165,7 @@ CASES = {
     "degenerate/claimless-facts": _claimless_chain,
     "degenerate/all-claimless": _all_claimless_chain,
     **{f"random/seed-{seed}": (lambda seed=seed: _random_corpus_chain(seed)) for seed in range(6)},
+    **{f"random/many-sources-seed-{seed}": (lambda seed=seed: _many_source_chain(seed)) for seed in range(4)},
 }
 
 
