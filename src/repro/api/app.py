@@ -20,8 +20,10 @@ Endpoints
 ``POST /ingest``                 integrate new triples (idempotency keys) and
                                  hot-swap the served snapshot
 ``POST /refresh``                hot-swap onto a re-published artifact path
-``GET /healthz``                 liveness + served-artifact identity
-``GET /metrics``                 Prometheus text metrics
+``GET /healthz``                 liveness, served-artifact identity and the
+                                 Gibbs sweep backend (``gibbs_backend``)
+``GET /metrics``                 Prometheus text metrics, including
+                                 ``repro_gibbs_backend_info{backend=...}``
 ===============================  ==============================================
 
 Operational behaviour:
@@ -68,6 +70,7 @@ from repro.api.observability import (
 from repro.api.rate_limit import RateLimiter
 from repro.obs.metrics import global_registry
 from repro.api.routing import MethodNotAllowed, NotFound, Router
+from repro.core.gibbs_vec import backend_name
 from repro.exceptions import (
     ArtifactError,
     ConfigurationError,
@@ -286,8 +289,13 @@ class TruthAPI:
         self._m_facts = self.metrics.gauge(
             "repro_api_facts", "Facts in the served snapshot."
         )
+        self._m_backend = self.metrics.gauge(
+            "repro_gibbs_backend_info",
+            "Gibbs sweep backend the next fit runs (compiled or python).",
+        )
         self._m_generation.set(self._generation)
         self._m_facts.set(len(self.service))
+        self._m_backend.set_only(1, backend=backend_name())
 
         self.router = Router()
         self.router.add("GET", "/healthz", self._handle_healthz)
@@ -480,6 +488,7 @@ class TruthAPI:
                 "status": "ok",
                 "generation": self._generation,
                 "artifact": self.service.artifact.summary(),
+                "gibbs_backend": backend_name(),
             },
         )
 
@@ -487,7 +496,9 @@ class TruthAPI:
         # One scrape sees both tiers: the per-app request series, then the
         # process-global engine/store/parallel/serving series (when any
         # exist).  The app registry renders first so its output stays
-        # byte-identical to the pre-repro.obs exposition.
+        # byte-identical to the pre-repro.obs exposition.  backend_name()
+        # never compiles; re-reading it shows a fallback after a failed build.
+        self._m_backend.set_only(1, backend=backend_name())
         body = self.metrics.render()
         global_reg = global_registry()
         if global_reg is not self.metrics and len(global_reg):

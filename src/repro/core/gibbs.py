@@ -229,18 +229,30 @@ class CollapsedGibbsSampler:
         num_facts = claims.num_facts
         truth = self._initial_assignment(num_facts, initial_truth, rng)
         counts = SourceCounts.from_assignment(claims, truth)
+
+        # Telemetry: one ``kernel.setup`` span for the tables and backend
+        # (the process's one C build included), then sweeps grouped into at
+        # most ~10 chunked ``gibbs.iteration`` spans per fit — per-sweep
+        # granularity without per-sweep span overhead.  Nothing here runs
+        # when tracing is off.
+        tracer = get_tracer()
+        traced = tracer.enabled
+        setup_start = tracer.now() if traced else 0.0
         walk = make_walk(claims, self.priors, truth, counts.counts)
+        if traced:
+            tracer.record(
+                "kernel.setup",
+                setup_start,
+                end=tracer.now(),
+                backend=walk.kernel,
+                codes=walk.codes,
+                table_entries=walk.table_entries,
+            )
 
         score_sum = np.zeros(num_facts, dtype=float)
         samples = 0
         trace = GibbsTrace(kernel=walk.kernel)
         checkpoint_set = set(int(c) for c in checkpoints)
-
-        # Telemetry: sweeps are grouped into at most ~10 chunked
-        # ``gibbs.iteration`` spans per fit — per-sweep granularity without
-        # per-sweep span overhead.  Nothing here runs when tracing is off.
-        tracer = get_tracer()
-        traced = tracer.enabled
         chunk = max(1, config.iterations // 10)
         chunk_start = tracer.now() if traced else 0.0
         chunk_first = 0

@@ -7,23 +7,34 @@ ahead of time.  :class:`KernelTables` precomputes them once per fit into flat
 lookup tables; from then on a sweep is pure integer indexing plus IEEE-754
 adds and subtracts.
 
+A claim enters Equation 2 only through its *code*, ``2 * source + obs``:
+the tables keep one int64 code per claim and the index bases once per code
+(``2S`` of them), not per claim.  A claim's term under the fact's current
+truth is then a function of the code and that source's confusion counts
+alone, which change only when some fact flips.
+
 Two backends walk those tables with the same arithmetic, facts in plain order
 ``0..F-1``, claims left to right:
 
-* ``"compiled"`` — ``gibbs_sweep.c``, about forty lines of C.  It is compiled
-  with the system C compiler on the first :meth:`CollapsedGibbsSampler.run
-  <repro.core.gibbs.CollapsedGibbsSampler.run>` of a process (never at import)
-  and loaded through :mod:`ctypes`.  The flags forbid floating-point
+* ``"compiled"`` — ``gibbs_sweep.c``, about eighty lines of C.  It caches
+  the ``2 x 2S`` terms, refills them at the start of each sweep and
+  recomputes a source's four entries after a flip that moves its counts, so
+  a fact's sum is one table read per claim.  It is compiled with the system
+  C compiler on the first :meth:`CollapsedGibbsSampler.run
+  <repro.core.gibbs.CollapsedGibbsSampler.run>` of a process (never at
+  import) and loaded through :mod:`ctypes`.  The flags forbid floating-point
   contraction and fast-math, so its doubles round exactly as Python's do.
-* ``"python"`` — :class:`PythonWalk`, the reference the compiled sweep is
-  tested against and the fallback wherever no compiler exists or the build
-  or load fails.
+* ``"python"`` — :class:`PythonWalk`, the uncached reference the compiled
+  sweep is tested against, and the fallback wherever no compiler exists or
+  the build or load fails.  It evaluates every claim's term afresh.
 
-Because both evaluate the same expression in the same order, they make
-bit-identical flip decisions for the same seed; the golden-chain tests pin
-both to chains frozen from the sampler's earlier kernels.  There is no switch:
-the backend follows from what the platform can build, and the one build
-attempt per process is remembered.
+A cached term is the same double as a freshly evaluated one: the same four
+table reads and the same subtractions in the same order, on counts no flip
+has moved since.  The backends therefore add the same values in the same
+order and make bit-identical flip decisions for the same seed; the
+golden-chain tests pin both to chains frozen from the sampler's earlier
+kernels.  There is no switch: the backend follows from what the platform can
+build, and the one build attempt per process is remembered.
 """
 
 from __future__ import annotations
@@ -59,62 +70,58 @@ class KernelTables:
         log_num[num_offset(s, t, o) + m] = log(m + alpha[s, t, o])   m in [0, d_s]
         log_den[den_offset(s, t) + m]    = log(m + alpha_sum[s, t])  m in [0, d_s]
 
-    and per claim ``i`` the precomputed index bases for both truth values, so
-    a claim's Equation-2 contribution under current truth ``t`` is::
+    A claim enters Equation 2 only through its source and observation, so
+    each claim ``i`` carries one *code* ``claim_code[i] = 2 * source + obs``
+    and every index base lives per code, not per claim: ``code_index`` is a
+    ``(2, 4, 2S)`` int64 block whose rows for truth value ``t`` are
+    ``num_base``, ``count_idx``, ``den_base`` and ``total_idx``.  With
+    ``nb, ci, db, ti = code_index[t][:, k]`` (and primes for ``1 - t``), a
+    claim of code ``k`` contributes, under current truth ``t``::
 
-        (log_num[num_base[t][i] + n - 1] - log_den[den_base[t][i] + N - 1])
-      - (log_num[num_base[1-t][i] + n'] - log_den[den_base[1-t][i] + N'])
+        (log_num[nb + n - 1] - log_den[db + N - 1]) - (log_num[nb' + n'] - log_den[db' + N'])
 
-    where ``n``/``N`` are the claim's bucket count and bucket total under
-    ``t`` (gathered through ``count_idx``/``total_idx`` from the flattened
-    confusion counts).  Both backends evaluate exactly this expression — the
-    only floating-point operations after construction are subtractions and
-    left-to-right additions, which IEEE-754 defines identically for C doubles
-    and Python floats.
+    where ``n = counts[ci]`` and ``N = totals[ti]`` are its bucket count and
+    bucket total in the flattened confusion counts.  Both backends evaluate
+    exactly this expression — the only floating-point operations after
+    construction are subtractions and left-to-right additions, which
+    IEEE-754 defines identically for C doubles and Python floats.
 
-    ``claim_index`` holds all four per-claim index arrays for both truth
-    values as one ``(2, 4, C)`` int64 block, rows ``num_base``,
-    ``count_idx``, ``den_base``, ``total_idx``; the named attributes are
-    per-truth-value views of it.
+    The term depends on nothing but ``(t, k)`` and the counts of ``k``'s
+    source, so the compiled sweep keeps it in a ``2 x 2S`` table and
+    recomputes a source's entries only when a flip moves its counts; the
+    Python walk re-evaluates it per claim.  The cached value is the same
+    double as the per-claim one — same operands, same operation order — and
+    a fact's sum adds the same values in the same claim order, so both walks
+    make the same flip decisions bit for bit.
     """
 
     def __init__(self, claims: ClaimMatrix, priors: LTMPriors):
         num_sources = claims.num_sources
         alpha = priors.alpha_array(claims.source_names)  # (S, 2, 2)
         alpha_sum = alpha.sum(axis=2)  # (S, 2)
-        per_source = claims.claim_counts_per_source()
-        lengths = per_source + 1  # occupancies 0..d_s inclusive
+        lengths = claims.claim_counts_per_source() + 1  # occupancies 0..d_s inclusive
 
         # Table layout: per source a block of 4 (respectively 2) sub-tables,
         # one per (t, o) (respectively t), each ``lengths[s]`` long.
+        self.log_num = _log_table(lengths, alpha.reshape(num_sources, 4))
+        self.log_den = _log_table(lengths, alpha_sum)
         num_offsets = np.concatenate(([0], np.cumsum(4 * lengths)))[:-1]
         den_offsets = np.concatenate(([0], np.cumsum(2 * lengths)))[:-1]
-        source_ids4 = np.repeat(np.arange(num_sources), 4 * lengths)
-        position4 = np.arange(int((4 * lengths).sum())) - np.repeat(num_offsets, 4 * lengths)
-        sub4 = position4 // np.repeat(lengths, 4 * lengths)  # t * 2 + o
-        occupancy4 = position4 % np.repeat(lengths, 4 * lengths)
-        self.log_num = np.log(occupancy4 + alpha[source_ids4, sub4 // 2, sub4 % 2])
-        source_ids2 = np.repeat(np.arange(num_sources), 2 * lengths)
-        position2 = np.arange(int((2 * lengths).sum())) - np.repeat(den_offsets, 2 * lengths)
-        sub2 = position2 // np.repeat(lengths, 2 * lengths)  # t
-        occupancy2 = position2 % np.repeat(lengths, 2 * lengths)
-        self.log_den = np.log(occupancy2 + alpha_sum[source_ids2, sub2])
 
-        claim_source = np.asarray(claims.claim_source, dtype=np.int64)
-        claim_obs = np.asarray(claims.claim_obs, dtype=np.int64)
-        claim_lengths = lengths[claim_source]
-        index = np.empty((2, 4, claims.num_claims), dtype=np.int64)
+        self.claim_code = 2 * np.asarray(claims.claim_source, dtype=np.int64) + np.asarray(
+            claims.claim_obs, dtype=np.int64
+        )
+        code_source = np.repeat(np.arange(num_sources, dtype=np.int64), 2)
+        code_obs = np.tile(np.array([0, 1], dtype=np.int64), num_sources)
+        code_lengths = lengths[code_source]
+        index = np.empty((2, 4, 2 * num_sources), dtype=np.int64)
         for t in (0, 1):
-            index[t, 0] = num_offsets[claim_source] + (t * 2 + claim_obs) * claim_lengths
+            index[t, 0] = num_offsets[code_source] + (t * 2 + code_obs) * code_lengths
             # Flattened (S, 2, 2) confusion-count and (S, 2) total indices.
-            index[t, 1] = (claim_source * 2 + t) * 2 + claim_obs
-            index[t, 2] = den_offsets[claim_source] + t * claim_lengths
-            index[t, 3] = claim_source * 2 + t
-        self.claim_index = index
-        self.num_base = [index[0, 0], index[1, 0]]
-        self.count_idx = [index[0, 1], index[1, 1]]
-        self.den_base = [index[0, 2], index[1, 2]]
-        self.total_idx = [index[0, 3], index[1, 3]]
+            index[t, 1] = (code_source * 2 + t) * 2 + code_obs
+            index[t, 2] = den_offsets[code_source] + t * code_lengths
+            index[t, 3] = code_source * 2 + t
+        self.code_index = index
 
         log_beta = np.log(priors.beta_array())
         # delta_log_beta[t] = log beta_t - log beta_{1-t}: the prior part of
@@ -138,18 +145,35 @@ class KernelTables:
             return np.log((1.0 - uniforms) / uniforms)
 
 
+def _log_table(lengths: np.ndarray, alpha_rows: np.ndarray) -> np.ndarray:
+    """``log(m + alpha_rows[s, j])`` for ``m`` in ``0..lengths[s]-1``, row-major per source."""
+    blocks = [
+        (np.arange(length) + alpha[:, None]).ravel()
+        for length, alpha in zip(lengths.tolist(), alpha_rows)
+    ]
+    return np.log(np.concatenate(blocks))
+
+
 class PythonWalk:
     """The reference sweep: a pure-Python walk over the claims in fact order.
 
-    Holds the chain state (truth, flattened counts and totals) as Python
-    lists between sweeps; :meth:`truth` and :meth:`counts` materialise it.
+    It evaluates every claim's Equation-2 term afresh, with no cache — the
+    uncached reference the compiled sweep's term table is tested against.
+    The per-code index bases are expanded to per-claim lists once, so a
+    claim costs no extra lookup.  Holds the chain state (truth, flattened
+    counts and totals) as Python lists between sweeps; :meth:`truth` and
+    :meth:`counts` materialise it.
     """
 
     kernel = "python"
 
     def __init__(self, claims: ClaimMatrix, tables: KernelTables, truth: np.ndarray, counts: np.ndarray):
+        self.codes = tables.code_index.shape[2]
+        self.table_entries = tables.log_num.size + tables.log_den.size
         self._fact_ptr = claims.fact_ptr.tolist()
-        self._index = [[row.tolist() for row in tables.claim_index[t]] for t in (0, 1)]
+        self._index = [
+            [row.tolist() for row in tables.code_index[t][:, tables.claim_code]] for t in (0, 1)
+        ]
         self._log_num = tables.log_num.tolist()
         self._log_den = tables.log_den.tolist()
         self._dlb = tables.delta_log_beta.tolist()
@@ -210,7 +234,11 @@ class PythonWalk:
 
 
 class CompiledWalk:
-    """:class:`PythonWalk`'s arithmetic run by the C sweep on numpy state."""
+    """:class:`PythonWalk`'s arithmetic run by the C sweep on numpy state.
+
+    The C sweep caches each ``(truth, code)`` term in ``w``, a ``2 x 2S``
+    buffer the walk allocates once and the sweep refills at its start.
+    """
 
     kernel = "compiled"
 
@@ -222,6 +250,8 @@ class CompiledWalk:
         counts: np.ndarray,
         sweep_fn: Any,
     ):
+        self.codes = tables.code_index.shape[2]
+        self.table_entries = tables.log_num.size + tables.log_den.size
         self._sweep_fn = sweep_fn
         self._prior_true = float(tables.prior_true)
         self._dlb0, self._dlb1 = (float(v) for v in tables.delta_log_beta)
@@ -233,14 +263,16 @@ class CompiledWalk:
         # their addresses are taken once; the sweep updates the state in place.
         self._arrays = (
             np.ascontiguousarray(claims.fact_ptr, dtype=np.int64),
-            np.ascontiguousarray(tables.claim_index, dtype=np.int64),
+            np.ascontiguousarray(tables.claim_code, dtype=np.int64),
+            np.ascontiguousarray(tables.code_index, dtype=np.int64),
             np.ascontiguousarray(tables.log_num, dtype=np.float64),
             np.ascontiguousarray(tables.log_den, dtype=np.float64),
             self._counts,
             self._totals,
             self._truth,
+            np.empty(2 * self.codes, dtype=np.float64),  # the term cache w
         )
-        self._fixed_args = (len(self._truth), claims.num_claims) + tuple(
+        self._fixed_args = (len(self._truth), self.codes) + tuple(
             array.ctypes.data for array in self._arrays
         )
 
@@ -343,9 +375,10 @@ def _build():
     pointer = ctypes.c_void_p
     sweep_fn.restype = ctypes.c_int64
     sweep_fn.argtypes = [
-        ctypes.c_int64, ctypes.c_int64,  # num_facts, num_claims
-        pointer, pointer, pointer, pointer,  # fact_ptr, claim_index, log_num, log_den
-        pointer, pointer, pointer,  # counts, totals, truth (updated in place)
+        ctypes.c_int64, ctypes.c_int64,  # num_facts, num_codes
+        pointer, pointer, pointer,  # fact_ptr, claim_code, code_index
+        pointer, pointer,  # log_num, log_den
+        pointer, pointer, pointer, pointer,  # counts, totals, truth, w (updated in place)
         pointer, pointer,  # uniforms, thresholds
         ctypes.c_double, ctypes.c_double, ctypes.c_double,  # prior_true, dlb0, dlb1
     ]

@@ -108,6 +108,10 @@ class Gauge(Counter):
     def set(self, value: float, **labels: str) -> None:
         self._values[_label_key(labels)] = float(value)
 
+    def set_only(self, value: float, **labels: str) -> None:
+        """Set one labelled series and drop every other (an info-style gauge)."""
+        self._values = {_label_key(labels): float(value)}
+
 
 class Histogram:
     """A labelled cumulative histogram with fixed bucket bounds."""

@@ -36,6 +36,7 @@ from repro.api import (
 from repro.api.codec import sanitize
 from repro.api.observability import Counter, Gauge, Histogram, RequestLogger
 from repro.api.routing import MethodNotAllowed, NotFound
+from repro.core import gibbs_vec
 from repro.engine import TruthEngine
 from repro.engine.config import EngineConfig
 from repro.exceptions import ConfigurationError
@@ -116,6 +117,39 @@ class TestCodec:
         row = fact_row("e", "a", 0.75, threshold=0.5)
         assert row == {"entity": "e", "attribute": "a", "score": 0.75, "accepted": True}
         assert fact_row("e", "a", 0.25) == {"entity": "e", "attribute": "a", "score": 0.25}
+
+
+# ---------------------------------------------------------------------------
+# Gibbs sweep backend visibility
+# ---------------------------------------------------------------------------
+class TestGibbsBackend:
+    @pytest.fixture
+    def unbuilt(self, monkeypatch):
+        """A process that has not tried to build the compiled sweep yet."""
+        monkeypatch.setattr(gibbs_vec, "_build_result", [])
+
+    @pytest.mark.parametrize("compiler, backend", [("/usr/bin/cc", "compiled"), (None, "python")])
+    def test_healthz_and_metrics_report_backend_without_building(
+        self, ltm_artifact, unbuilt, monkeypatch, compiler, backend
+    ):
+        monkeypatch.setattr(gibbs_vec.shutil, "which", lambda name: compiler)
+        app = make_app(ltm_artifact)
+        assert fetch(app, "GET", "/healthz").json()["gibbs_backend"] == backend
+        text = fetch(app, "GET", "/metrics").body.decode()
+        assert f'repro_gibbs_backend_info{{backend="{backend}"}} 1' in text
+        assert text.count("repro_gibbs_backend_info{") == 1
+        assert gibbs_vec._build_result == []  # serving never compiles
+
+    def test_metrics_show_a_fallback_after_a_failed_build(self, ltm_artifact, unbuilt, monkeypatch):
+        monkeypatch.setattr(gibbs_vec.shutil, "which", lambda name: "/usr/bin/cc")
+        app = make_app(ltm_artifact)
+        compiled = 'repro_gibbs_backend_info{backend="compiled"} 1'
+        assert compiled in fetch(app, "GET", "/metrics").body.decode()
+        monkeypatch.setattr(gibbs_vec, "_build_result", [None])  # the build failed
+        text = fetch(app, "GET", "/metrics").body.decode()
+        assert 'repro_gibbs_backend_info{backend="python"} 1' in text
+        assert compiled not in text
+        assert fetch(app, "GET", "/healthz").json()["gibbs_backend"] == "python"
 
 
 # ---------------------------------------------------------------------------

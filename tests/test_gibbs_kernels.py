@@ -4,10 +4,13 @@ The sampler has one sweep with two backends of the same arithmetic: a C walk
 compiled on first use and the pure-Python reference walk.  For the same seed
 they must be *bit-identical* — same scores, final confusion counts, per-sweep
 flips, checkpoint snapshots and callback truths — and both must reproduce the
-golden chains frozen in ``golden_chains.json``.  Every way the C build can
-fail must land on the Python walk with the same chain.  ``kernel="scalar"``
-and ``"blocked"`` name kernels that no longer exist; they stay accepted (and
-ignored) because recorded configurations and artifacts carry them.
+golden chains frozen in ``golden_chains.json``.  The C walk caches each
+claim's term per (truth, code) between flips, so a hypothesis test also
+compares it with the uncached Python walk on random corpora.  Every way the
+C build can fail must land on the Python walk with the same chain.
+``kernel="scalar"`` and ``"blocked"`` name kernels that no longer exist; they
+stay accepted (and ignored) because recorded configurations and artifacts
+carry them.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.core import gibbs_vec
@@ -28,11 +33,14 @@ from repro.core.gibbs_vec import KernelTables
 from repro.core.model import LatentTruthModel
 from repro.core.ltmpos import PositiveOnlyLTM
 from repro.core.priors import LTMPriors
+from repro.data.dataset import ClaimMatrix
+from repro.data.records import Fact
 from repro.engine import EngineConfig, ExecutionConfig, TruthEngine
 from repro.exceptions import ConfigurationError
 from repro.io.catalog import default_catalog
 
 from test_gibbs_golden import CASES, CATALOG_CASES, GOLDEN, PAPER_BUDGETS, chain_digest
+from test_gibbs_oracle import DEFAULT, EXTREME_CREDULOUS, EXTREME_SKEPTIC, MILD
 
 BACKENDS = ("compiled", "python")
 
@@ -190,6 +198,65 @@ class TestCatalogParity:
 
 
 # ---------------------------------------------------------------------------
+# The compiled sweep's term cache against the uncached Python walk
+# ---------------------------------------------------------------------------
+def _random_claims(seed: int, num_sources: int) -> ClaimMatrix:
+    """Up to 80 facts; claimless facts interleave with claimed ones.
+
+    Each source observes either both ways, only positively or only
+    negatively, and with up to 60 sources over few facts many sources hold
+    a single observation.
+    """
+    rng = np.random.default_rng(seed)
+    num_facts = int(rng.integers(1, 81))
+    kinds = rng.integers(0, 3, size=num_sources)  # mixed, positive only, negative only
+    claim_fact, claim_source, claim_obs = [], [], []
+    for fact in range(num_facts):
+        degree = int(rng.integers(0, min(num_sources, 8) + 1))
+        for source in rng.choice(num_sources, size=degree, replace=False).tolist():
+            mixed = bool(rng.random() < 0.6)
+            claim_fact.append(fact)
+            claim_source.append(source)
+            claim_obs.append({0: mixed, 1: True, 2: False}[int(kinds[source])])
+    return ClaimMatrix(
+        facts=[Fact(f, f"e{f // 3}", f"v{f}") for f in range(num_facts)],
+        source_names=[f"s{s}" for s in range(num_sources)],
+        claim_fact=claim_fact,
+        claim_source=claim_source,
+        claim_obs=claim_obs,
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_sources=st.integers(1, 60),
+    priors=st.sampled_from([None, DEFAULT, MILD, EXTREME_SKEPTIC, EXTREME_CREDULOUS]),
+    iterations=st.integers(1, 60),
+)
+def test_cached_compiled_walk_matches_python_walk(seed, num_sources, priors, iterations):
+    # The C sweep reads each claim's term from a per-(truth, code) cache it
+    # refreshes after every flip; the Python walk evaluates every term afresh.
+    # Same seed, same chain: flips per sweep, final counts and score bytes.
+    if gibbs_vec.compiled_sweep() is None:
+        pytest.skip("no working C compiler: the compiled sweep is unavailable")
+    claims = _random_claims(seed, num_sources)
+    priors = priors or LTMPriors.adaptive(claims)
+    config = GibbsConfig(iterations=iterations, burn_in=iterations // 5, thin=1, seed=seed)
+    runs = {}
+    for backend in BACKENDS:
+        with pytest.MonkeyPatch.context() as patch:
+            if backend == "python":
+                patch.setattr(gibbs_vec, "_build_result", [None])
+            runs[backend] = CollapsedGibbsSampler(priors=priors, config=config).run(claims)
+    (scores_c, counts_c, trace_c), (scores_p, counts_p, trace_p) = runs["compiled"], runs["python"]
+    assert (trace_c.kernel, trace_p.kernel) == BACKENDS
+    assert trace_c.flips_per_iteration == trace_p.flips_per_iteration
+    assert np.array_equal(counts_c.counts, counts_p.counts)
+    assert scores_c.tobytes() == scores_p.tobytes()
+
+
+# ---------------------------------------------------------------------------
 # Building the compiled backend, and falling back
 # ---------------------------------------------------------------------------
 class TestBackendFallback:
@@ -304,9 +371,16 @@ class TestKernelTables:
         expected = np.log(np.arange(d0 + 1) + alpha[0, 0, 0])
         assert np.array_equal(tables.log_num[: d0 + 1], expected)
         assert tables.delta_log_beta[0] == -tables.delta_log_beta[1]
-        # The named per-claim index arrays are views of the (2, 4, C) block.
-        assert tables.claim_index.shape == (2, 4, paper_claims.num_claims)
-        assert np.shares_memory(tables.count_idx[1], tables.claim_index)
+        # The index bases live per code (2 * source + obs) in one (2, 4, 2S)
+        # block, and every claim reaches its bases through its code.
+        assert tables.code_index.shape == (2, 4, 2 * paper_claims.num_sources)
+        assert np.array_equal(
+            tables.claim_code, 2 * paper_claims.claim_source + paper_claims.claim_obs
+        )
+        count_idx = tables.code_index[1][:, tables.claim_code][1]
+        assert np.array_equal(
+            count_idx, (paper_claims.claim_source * 2 + 1) * 2 + paper_claims.claim_obs
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -174,12 +174,15 @@ def test_equation2_log_ratio_is_the_joint_difference(seed, priors):
         cur = int(truth[fact])
         delta = float(tables.delta_log_beta[cur])
         for i in range(claims.fact_ptr[fact], claims.fact_ptr[fact + 1]):
+            code = tables.claim_code[i]
+            num_base, count_idx, den_base, total_idx = tables.code_index[cur][:, code]
+            num_base_o, count_idx_o, den_base_o, total_idx_o = tables.code_index[1 - cur][:, code]
             delta += (
-                tables.log_num[tables.num_base[cur][i] + counts_flat[tables.count_idx[cur][i]] - 1]
-                - tables.log_den[tables.den_base[cur][i] + totals_flat[tables.total_idx[cur][i]] - 1]
+                tables.log_num[num_base + counts_flat[count_idx] - 1]
+                - tables.log_den[den_base + totals_flat[total_idx] - 1]
             ) - (
-                tables.log_num[tables.num_base[1 - cur][i] + counts_flat[tables.count_idx[1 - cur][i]]]
-                - tables.log_den[tables.den_base[1 - cur][i] + totals_flat[tables.total_idx[1 - cur][i]]]
+                tables.log_num[num_base_o + counts_flat[count_idx_o]]
+                - tables.log_den[den_base_o + totals_flat[total_idx_o]]
             )
         flipped = truth.copy()
         flipped[fact] = 1 - cur

@@ -106,6 +106,17 @@ class TestEngineFitSpans:
         (build,) = spans["claims.build"]
         assert build["parent_id"] == fit["span_id"]
         assert build["attributes"] == {"input": "triples", "triples": 8, "claims": attrs["triples"]}
+        # The sweep's tables and backend are set up under one kernel.setup
+        # child: 4 sources give 8 codes (2 * source + obs), and the tables
+        # hold 6 log entries per source and claim (occupancies 0..d_s).
+        (setup,) = spans["kernel.setup"]
+        assert setup["parent_id"] == fit["span_id"]
+        assert setup["attributes"] == {
+            "backend": GibbsConfig().resolved_kernel(),
+            "codes": 8,
+            "table_entries": 6 * (4 + attrs["triples"]),
+        }
+        assert setup["end"] <= chunks[0]["start"]
 
     def test_claims_build_span_on_file_and_matrix_fits(self, tmp_path):
         from repro.data.claim_builder import build_claim_matrix
