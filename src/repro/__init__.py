@@ -46,7 +46,10 @@ pluggable :class:`~repro.store.StorageBackend`) and stream through ``fit``,
 ``repro-truth store load|stats|compact``) without ever materialising.
 The PR-1-era deprecation shims (``IntegrationPipeline``,
 ``OnlineTruthFinder``, ``repro.baselines.registry``) were removed in 1.4
-after their two-PR deprecation window.
+after their two-PR deprecation window.  ``ClaimTableBuilder`` and the seed's
+in-memory relational engine (``repro.store.Table`` and friends) are in
+theirs: they still resolve, with a :class:`DeprecationWarning`, and no data
+path uses them.
 
 Quickstart
 ----------
@@ -65,6 +68,7 @@ Quickstart
 True
 """
 
+from repro._deprecation import deprecated_getattr
 from repro.types import Triple
 from repro.data import (
     ClaimMatrix,
@@ -76,7 +80,7 @@ from repro.data import (
     save_dataset_json,
     save_triples_csv,
 )
-from repro.data.claim_builder import ClaimTableBuilder, build_dataset
+from repro.data.claim_builder import build_dataset
 from repro.core import (
     IncrementalLTM,
     LatentTruthModel,
@@ -192,7 +196,6 @@ __all__ = [
     "RawDatabase",
     "ClaimMatrix",
     "TruthDataset",
-    "ClaimTableBuilder",
     "build_claim_matrix",
     "build_dataset",
     "load_triples_csv",
@@ -233,3 +236,7 @@ __all__ = [
     "ClaimStream",
     "IntegrationResult",
 ]
+
+__getattr__ = deprecated_getattr(
+    __name__, {"ClaimTableBuilder": ("repro.data.claim_tables", "use build_claim_matrix")}
+)

@@ -14,12 +14,15 @@ derives:
 
 The central runtime object is :class:`~repro.data.dataset.ClaimMatrix`, a
 flat numpy encoding of the claim table grouped by fact, which every solver in
-:mod:`repro.core` and :mod:`repro.baselines` consumes.
+:mod:`repro.core` and :mod:`repro.baselines` consumes.  It is built by
+:func:`~repro.data.claim_builder.build_claim_matrix`; the deprecated
+``ClaimTableBuilder`` still resolves here, with a warning.
 """
 
+from repro._deprecation import deprecated_getattr
 from repro.data.records import Fact, Claim, SourceRecord
 from repro.data.raw import RawDatabase
-from repro.data.claim_builder import ClaimTableBuilder, build_claim_matrix
+from repro.data.claim_builder import build_claim_matrix
 from repro.data.dataset import ClaimMatrix, TruthDataset
 from repro.data.loaders import (
     load_triples_csv,
@@ -35,7 +38,6 @@ __all__ = [
     "Claim",
     "SourceRecord",
     "RawDatabase",
-    "ClaimTableBuilder",
     "build_claim_matrix",
     "ClaimMatrix",
     "TruthDataset",
@@ -46,3 +48,7 @@ __all__ = [
     "load_labels_csv",
     "save_labels_csv",
 ]
+
+__getattr__ = deprecated_getattr(
+    __name__, {"ClaimTableBuilder": ("repro.data.claim_tables", "use build_claim_matrix")}
+)

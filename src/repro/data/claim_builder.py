@@ -1,4 +1,4 @@
-"""Construction of the fact and claim tables from a raw database.
+"""Construction of the fact and claim tables from raw triples.
 
 This implements Definitions 2 and 3 of the paper:
 
@@ -12,20 +12,17 @@ This implements Definitions 2 and 3 of the paper:
 The builder produces a :class:`~repro.data.dataset.ClaimMatrix`, the flat
 numpy encoding consumed by every solver.
 
-Two construction paths produce identical matrices:
-
-* :class:`ClaimTableBuilder` — the row-at-a-time reference implementation,
-  which can also materialise the relational fact/claim tables;
-* :func:`bulk_build_claim_matrix` — a vectorized path that factorizes the
-  entity / attribute / source columns with numpy instead of per-triple
-  appends, used by :func:`build_claim_matrix` (and hence the engine and the
-  :mod:`repro.io` sources) for chunked ingestion at scale.
-
-The vectorized rules run on columns.  Row input (``Triple`` objects,
-3-tuples, a :class:`~repro.data.raw.RawDatabase`) is transposed into a
+One construction path exists: :func:`bulk_build_claim_matrix` (behind
+:func:`build_claim_matrix`, and hence the engine and the :mod:`repro.io`
+sources) factorizes the entity / attribute / source columns with numpy and
+runs the rules as array passes.  Row input (``Triple`` objects, 3-tuples, a
+:class:`~repro.data.raw.RawDatabase`) is transposed into a
 :class:`~repro.types.TripleColumns` first; a whole triple file read by
 :func:`~repro.data.loaders.read_triple_columns` arrives as columns already,
 so a file-to-matrix build creates no per-row object at all.
+
+The row-at-a-time ``ClaimTableBuilder`` is deprecated: it still resolves
+here, with a :class:`DeprecationWarning`, and wraps this builder.
 """
 
 from __future__ import annotations
@@ -34,169 +31,43 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from repro._deprecation import deprecated_getattr
 from repro.data.dataset import ClaimMatrix, TruthDataset
-from repro.data.raw import RawDatabase
+from repro.data.raw import RawDatabase, none_field_error
 from repro.data.records import Fact
 from repro.exceptions import DataModelError, DuplicateRowError, EmptyDatasetError
-from repro.store import Column, Schema, Table
-from repro.types import AttributeValue, EntityKey, FactId, SourceName, Triple, TripleColumns
+from repro.types import AttributeValue, EntityKey, FactId, Triple, TripleColumns
 
 __all__ = [
-    "ClaimTableBuilder",
     "build_claim_matrix",
     "build_dataset",
     "bulk_build_claim_matrix",
 ]
 
-
-class ClaimTableBuilder:
-    """Builds fact and claim tables (and relational views of them) from raw triples.
-
-    Parameters
-    ----------
-    raw:
-        The input :class:`~repro.data.raw.RawDatabase`.
-    """
-
-    def __init__(self, raw: RawDatabase):
-        raw.require_non_empty()
-        self.raw = raw
-        self._facts: list[Fact] = []
-        self._fact_ids: dict[tuple[EntityKey, AttributeValue], FactId] = {}
-        self._source_ids: dict[SourceName, int] = {}
-        self._claim_fact: list[int] = []
-        self._claim_source: list[int] = []
-        self._claim_obs: list[bool] = []
-        self._built = False
-
-    # -- id assignment -----------------------------------------------------------
-    def _fact_id(self, entity: EntityKey, attribute: AttributeValue) -> FactId:
-        key = (entity, attribute)
-        if key not in self._fact_ids:
-            fact_id = len(self._facts)
-            self._fact_ids[key] = fact_id
-            self._facts.append(Fact(fact_id=fact_id, entity=entity, attribute=attribute))
-        return self._fact_ids[key]
-
-    def _source_id(self, source: SourceName) -> int:
-        if source not in self._source_ids:
-            self._source_ids[source] = len(self._source_ids)
-        return self._source_ids[source]
-
-    # -- core construction --------------------------------------------------------
-    def build(self) -> ClaimMatrix:
-        """Run the claim-generation rules and return the claim matrix."""
-        if self._built:
-            return self._to_matrix()
-
-        # Register sources in first-seen order for reproducible ids.
-        for source in self.raw.sources:
-            self._source_id(source)
-
-        # Positive claims: sources that asserted the (entity, attribute) pair.
-        positive_by_fact: dict[FactId, set[int]] = {}
-        for triple in self.raw:
-            fact_id = self._fact_id(triple.entity, triple.attribute)
-            source_id = self._source_id(triple.source)
-            fact_sources = positive_by_fact.setdefault(fact_id, set())
-            if source_id in fact_sources:
-                continue
-            fact_sources.add(source_id)
-            self._claim_fact.append(fact_id)
-            self._claim_source.append(source_id)
-            self._claim_obs.append(True)
-
-        # Negative claims: sources that asserted the entity but not this fact.
-        for fact in self._facts:
-            fact_sources = positive_by_fact.get(fact.fact_id, set())
-            entity_sources = {self._source_id(s) for s in self.raw.sources_of(fact.entity)}
-            for source_id in sorted(entity_sources - fact_sources):
-                self._claim_fact.append(fact.fact_id)
-                self._claim_source.append(source_id)
-                self._claim_obs.append(False)
-
-        self._built = True
-        return self._to_matrix()
-
-    def _to_matrix(self) -> ClaimMatrix:
-        source_names = [name for name, _ in sorted(self._source_ids.items(), key=lambda kv: kv[1])]
-        return ClaimMatrix(
-            facts=self._facts,
-            source_names=source_names,
-            claim_fact=np.asarray(self._claim_fact, dtype=np.int64),
-            claim_source=np.asarray(self._claim_source, dtype=np.int64),
-            claim_obs=np.asarray(self._claim_obs, dtype=np.int8),
-        )
-
-    # -- relational views -----------------------------------------------------------
-    def fact_table(self) -> Table:
-        """The fact table (Definition 2 / paper Table 2) as a relational table."""
-        if not self._built:
-            self.build()
-        schema = Schema(
-            columns=(Column("fact_id", int), Column("entity", object), Column("attribute", object)),
-            key=("fact_id",),
-        )
-        table = Table("facts", schema)
-        for fact in self._facts:
-            table.insert({"fact_id": fact.fact_id, "entity": fact.entity, "attribute": fact.attribute})
-        return table
-
-    def claim_table(self) -> Table:
-        """The claim table (Definition 3 / paper Table 3) as a relational table."""
-        matrix = self.build()
-        schema = Schema(
-            columns=(
-                Column("fact_id", int),
-                Column("source", object),
-                Column("observation", bool),
-            ),
-            key=("fact_id", "source"),
-        )
-        table = Table("claims", schema)
-        for fact_id, source_id, obs in zip(matrix.claim_fact, matrix.claim_source, matrix.claim_obs):
-            table.insert(
-                {
-                    "fact_id": int(fact_id),
-                    "source": matrix.source_names[int(source_id)],
-                    "observation": bool(obs),
-                }
-            )
-        return table
-
-    @property
-    def fact_ids(self) -> Mapping[tuple[EntityKey, AttributeValue], FactId]:
-        """Mapping of ``(entity, attribute)`` to fact id (after :meth:`build`)."""
-        return dict(self._fact_ids)
-
-    # -- vectorized bulk ingest -----------------------------------------------------
-    @classmethod
-    def bulk(
-        cls, triples: Iterable[Triple | tuple] | RawDatabase | TripleColumns, strict: bool = False
-    ) -> ClaimMatrix:
-        """Vectorized triples-to-matrix path (see :func:`bulk_build_claim_matrix`)."""
-        return bulk_build_claim_matrix(triples, strict=strict)
+__getattr__ = deprecated_getattr(
+    __name__, {"ClaimTableBuilder": ("repro.data.claim_tables", "use build_claim_matrix")}
+)
 
 
 # ---------------------------------------------------------------------------
 # Vectorized bulk ingest
 # ---------------------------------------------------------------------------
-def _factorize_first_seen(values: Sequence) -> tuple[np.ndarray, list]:
+def _factorize_first_seen(values: Sequence) -> tuple[np.ndarray, dict]:
     """Encode ``values`` as dense integer codes in first-seen order.
 
-    Returns ``(codes, uniques)`` with ``uniques[codes[i]] == values[i]`` and
-    uniques ordered by first occurrence — the same id assignment the
-    row-at-a-time builder produces.  Dictionary encoding beats a
-    sort-based ``np.unique`` here because the raw columns are Python objects
-    (strings, occasionally numbers); everything downstream then runs on the
-    resulting dense int64 codes.
+    Returns ``(codes, uniques)``: ``uniques`` maps each distinct value to its
+    code, in order of first occurrence, so ``list(uniques)[codes[i]] ==
+    values[i]`` — ids are assigned in first-seen order.  Dictionary
+    encoding beats a sort-based ``np.unique`` here because the raw columns
+    are Python objects (strings, occasionally numbers); everything
+    downstream then runs on the resulting dense int64 codes.
     """
     mapping: dict = {}
     setdefault = mapping.setdefault
     codes = np.fromiter(
         (setdefault(v, len(mapping)) for v in values), count=len(values), dtype=np.int64
     )
-    return codes, list(mapping)
+    return codes, mapping
 
 
 def _rows_to_columns(rows: Sequence[Triple | tuple]) -> TripleColumns:
@@ -230,14 +101,15 @@ def bulk_build_claim_matrix(
 ) -> ClaimMatrix:
     """Build a :class:`~repro.data.dataset.ClaimMatrix` from triples, vectorized.
 
-    Produces a matrix *identical* (same fact/source ids, same claim layout) to
-    ``ClaimTableBuilder(RawDatabase(triples, strict=False)).build()``, but the
-    claim-generation rules of Definitions 2-3 run as numpy factorizations and
-    joins instead of per-triple appends — the difference between O(n) Python
-    dict traffic and a handful of C-level array passes.  This is the path
-    :func:`build_claim_matrix` (and therefore :class:`~repro.engine.TruthEngine`
-    and the :mod:`repro.io` sources) take, keeping chunked streaming ingestion
-    cheap.
+    Facts get dense ids in order of their first triple, sources in order of
+    first appearance; each fact's claims are its positive claims in triple
+    order, then its negative claims by ascending source id.  The
+    claim-generation rules of Definitions 2-3 run as numpy factorizations
+    and joins instead of per-triple appends — the difference between O(n)
+    Python dict traffic and a handful of C-level array passes.  This is the
+    path :func:`build_claim_matrix` (and therefore
+    :class:`~repro.engine.TruthEngine` and the :mod:`repro.io` sources)
+    take, keeping chunked streaming ingestion cheap.
 
     Parameters
     ----------
@@ -251,6 +123,11 @@ def bulk_build_claim_matrix(
         When true, exact duplicate triples raise
         :class:`~repro.exceptions.DuplicateRowError` (mirroring
         ``RawDatabase(strict=True)``); when false duplicates are dropped.
+
+    Raises
+    ------
+    DataModelError
+        If a triple has a ``None`` field.
     """
     if isinstance(triples, TripleColumns):
         columns = triples
@@ -268,9 +145,15 @@ def _claims_from_columns(columns: TripleColumns, strict: bool) -> ClaimMatrix:
     num_triples = len(columns)
     if not num_triples:
         raise EmptyDatasetError("the raw database contains no triples")
-    ent_codes, _ = _factorize_first_seen(entities)
-    attr_codes, _ = _factorize_first_seen(attributes)
-    src_codes, source_names = _factorize_first_seen(src_col)
+    ent_codes, ent_seen = _factorize_first_seen(entities)
+    attr_codes, attr_seen = _factorize_first_seen(attributes)
+    src_codes, src_seen = _factorize_first_seen(src_col)
+    # None is no entity, value or source: one dict lookup per column.
+    for column, seen in ((entities, ent_seen), (attributes, attr_seen), (src_col, src_seen)):
+        if None in seen:
+            row = list(column).index(None)
+            raise none_field_error((entities[row], attributes[row], src_col[row]))
+    source_names = list(src_seen)
     num_sources = len(source_names)
 
     # Facts: first-seen (entity, attribute) pairs, in triple order.
@@ -290,7 +173,7 @@ def _claims_from_columns(columns: TripleColumns, strict: bool) -> ClaimMatrix:
     ]
 
     # Positive claims: first occurrence of each (fact, source) pair, kept in
-    # triple-scan order (what the sequential builder appends).
+    # triple-scan order.
     pos_keys = fact_of_triple * num_sources + src_codes
     uniq_pos, pos_first = np.unique(pos_keys, return_index=True)
     if strict and len(uniq_pos) != num_triples:
@@ -324,8 +207,7 @@ def _claims_from_columns(columns: TripleColumns, strict: bool) -> ClaimMatrix:
     neg_src = cand_src[negative_mask]
 
     # Deliver the claims fact-sorted (positives in scan order, then negatives
-    # by ascending source — the sequential builder's layout) so ClaimMatrix
-    # can take its no-reorder fast path.
+    # by ascending source) so ClaimMatrix can take its no-reorder fast path.
     claim_fact = np.concatenate((pos_fact, neg_fact))
     claim_source = np.concatenate((pos_src, neg_src))
     claim_obs = np.concatenate(
@@ -347,8 +229,7 @@ def build_claim_matrix(
     """Convenience function: triples (or a raw database) straight to a claim matrix.
 
     Routes through the vectorized :func:`bulk_build_claim_matrix`, which is
-    guaranteed (and property-tested) to produce the same matrix as
-    :class:`ClaimTableBuilder`.
+    property-tested against a row-at-a-time reference of Definitions 2-3.
     """
     return bulk_build_claim_matrix(triples, strict=strict)
 

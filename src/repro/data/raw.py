@@ -2,30 +2,34 @@
 
 :class:`RawDatabase` corresponds to Definition 1 of the paper: a set of unique
 rows, each stating that a *source* asserted an *attribute value* for an
-*entity*.  It is a thin, validated collection built on the relational store,
-with the lookups the claim builder needs (entities per source, sources per
-entity, attributes per entity).
+*entity*.  It keeps the distinct triples in an insertion-ordered ``dict``
+plus the three coverage lookups callers ask for (entities per source,
+sources per entity, attributes per entity).  Claim construction does not
+need it: :func:`~repro.data.claim_builder.build_claim_matrix` accepts a raw
+database like any other triple iterable.
 """
 
 from __future__ import annotations
 
+import warnings
 from collections import defaultdict
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
-from repro.exceptions import DuplicateRowError, EmptyDatasetError
-from repro.store import Column, Schema, Table
+from repro.exceptions import DataModelError, DuplicateRowError, EmptyDatasetError
 from repro.types import AttributeValue, EntityKey, SourceName, Triple
+
+if TYPE_CHECKING:  # pragma: no cover - the relational engine is deprecated
+    from repro.store.table import Table
 
 __all__ = ["RawDatabase"]
 
-_RAW_SCHEMA = Schema(
-    columns=(
-        Column("entity", object),
-        Column("attribute", object),
-        Column("source", object),
-    ),
-    key=("entity", "attribute", "source"),
-)
+_FIELDS = ("entity", "attribute", "source")
+
+
+def none_field_error(triple: tuple) -> DataModelError:
+    """The error every ingest path raises for a triple with a ``None`` field."""
+    field = next(name for name, value in zip(_FIELDS, triple) if value is None)
+    return DataModelError(f"{field} is None in triple {triple!r}")
 
 
 class RawDatabase:
@@ -44,11 +48,10 @@ class RawDatabase:
 
     def __init__(self, triples: Iterable[Triple | tuple] = (), strict: bool = True):
         self.strict = strict
-        self._table = Table("raw_database", _RAW_SCHEMA)
+        self._triples: dict[tuple[EntityKey, AttributeValue, SourceName], None] = {}
         self._entity_sources: dict[EntityKey, set[SourceName]] = defaultdict(set)
-        self._entity_attributes: dict[EntityKey, list[AttributeValue]] = defaultdict(list)
+        self._entity_attributes: dict[EntityKey, dict[AttributeValue, None]] = defaultdict(dict)
         self._source_entities: dict[SourceName, set[EntityKey]] = defaultdict(set)
-        self._seen: set[tuple[EntityKey, AttributeValue, SourceName]] = set()
         for triple in triples:
             self.add(triple)
 
@@ -58,6 +61,8 @@ class RawDatabase:
 
         Raises
         ------
+        DataModelError
+            If a field of the triple is ``None``.
         DuplicateRowError
             If the triple already exists and ``strict`` is true.
         """
@@ -66,16 +71,16 @@ class RawDatabase:
         else:
             entity, attribute, source = triple
         key = (entity, attribute, source)
-        if key in self._seen:
+        if entity is None or attribute is None or source is None:
+            raise none_field_error(key)
+        if key in self._triples:
             if self.strict:
                 raise DuplicateRowError(f"duplicate raw triple {key!r}")
             return False
-        self._seen.add(key)
-        self._table.insert({"entity": entity, "attribute": attribute, "source": source})
+        self._triples[key] = None
         self._entity_sources[entity].add(source)
         self._source_entities[source].add(entity)
-        if attribute not in self._entity_attributes[entity]:
-            self._entity_attributes[entity].append(attribute)
+        self._entity_attributes[entity][attribute] = None
         return True
 
     def extend(self, triples: Iterable[Triple | tuple]) -> int:
@@ -84,23 +89,30 @@ class RawDatabase:
 
     # -- introspection -------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._table)
+        return len(self._triples)
 
     def __iter__(self) -> Iterator[Triple]:
-        for row in self._table:
-            yield Triple(row["entity"], row["attribute"], row["source"])
+        for key in self._triples:
+            yield Triple(*key)
 
     def __contains__(self, triple: object) -> bool:
         if isinstance(triple, Triple):
-            return triple.as_tuple() in self._seen
+            return triple.as_tuple() in self._triples
         if isinstance(triple, tuple) and len(triple) == 3:
-            return tuple(triple) in self._seen
+            return tuple(triple) in self._triples
         return False
 
     @property
-    def table(self) -> Table:
-        """The underlying relational table of triples."""
-        return self._table
+    def table(self) -> "Table":
+        """Deprecated: the triples as a relational table, built on each access."""
+        message = "RawDatabase.table is deprecated and will be removed; iterate the RawDatabase"
+        warnings.warn(message, DeprecationWarning, stacklevel=2)
+        from repro.store.schema import Column, Schema
+        from repro.store.table import Table
+
+        table = Table("raw_database", Schema(tuple(map(Column, _FIELDS)), key=_FIELDS))
+        table.insert_many(dict(zip(_FIELDS, key)) for key in self._triples)
+        return table
 
     @property
     def entities(self) -> list[EntityKey]:

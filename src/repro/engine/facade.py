@@ -54,6 +54,7 @@ from typing import TYPE_CHECKING, Any, Iterable
 import numpy as np
 
 from repro import obs
+from repro._deprecation import is_relational_table
 from repro.core.base import SourceQualityTable, TruthMethod, TruthResult
 from repro.core.gibbs import GibbsTrace
 from repro.core.incremental import IncrementalLTM, prior_mean_predictor
@@ -61,7 +62,6 @@ from repro.core.priors import LTMPriors
 from repro.data.claim_builder import build_claim_matrix
 from repro.data.dataset import ClaimMatrix, TruthDataset
 from repro.data.raw import RawDatabase
-from repro.store.table import Table
 from repro.engine.config import EngineConfig
 from repro.engine.registry import MethodRegistry, default_registry
 from repro.exceptions import (
@@ -85,13 +85,13 @@ __all__ = ["OnlineStepReport", "TruthEngine", "discover"]
 def _is_source_like(data: Any) -> bool:
     """Whether ``data`` should resolve through :func:`repro.io.as_source`.
 
-    Catalog keys, file paths, relational tables, datasets and
+    Catalog keys, file paths, (deprecated) relational tables, datasets and
     :class:`~repro.io.base.DataSource` objects qualify; plain triple
     iterables keep the direct (copy-free) path.  Tables and datasets must
     not fall through to the iterable path: iterating them yields dict rows
     / nothing triple-shaped, not triples.
     """
-    if isinstance(data, (str, Path, Table, TruthDataset)):
+    if isinstance(data, (str, Path, TruthDataset)) or is_relational_table(data):
         return True
     # Duck-typed so this hot check does not import repro.io on every call.
     return hasattr(data, "iter_triples") and hasattr(data, "iter_batches")

@@ -6,8 +6,9 @@ triple enters through.
 * :class:`~repro.io.base.DataSource` — the chunk-oriented source protocol
   (``schema`` / ``iter_triples`` / ``iter_batches`` / ``to_dataset``);
 * :mod:`repro.io.sources` — concrete sources for in-memory triples, triple
-  CSV/TSV files, JSON dataset dumps, relational tables and the synthetic
-  simulators;
+  CSV/TSV files, JSON dataset dumps and the synthetic simulators (the
+  deprecated ``TableSource`` over relational tables still resolves here,
+  with a :class:`DeprecationWarning`);
 * :class:`~repro.io.store_source.StoreSource` — the out-of-core source over
   a disk-backed :class:`~repro.store.claims.ClaimStore` (indexed entity
   range scans, ``as_source("store://claims.db")``);
@@ -32,6 +33,7 @@ Quickstart::
     8
 """
 
+from repro._deprecation import deprecated_getattr
 from repro.io.base import DataSource, SourceSchema
 from repro.io.partition import entity_partition_key, seeded_entity_order
 from repro.io.sources import (
@@ -39,7 +41,6 @@ from repro.io.sources import (
     JsonDatasetSource,
     MemorySource,
     SyntheticSource,
-    TableSource,
     TripleFileSource,
 )
 from repro.io.store_source import StoreSource
@@ -57,7 +58,6 @@ __all__ = [
     "MemorySource",
     "TripleFileSource",
     "JsonDatasetSource",
-    "TableSource",
     "DatasetSource",
     "SyntheticSource",
     "StoreSource",
@@ -69,3 +69,7 @@ __all__ = [
     "register_dataset",
     "seeded_entity_order",
 ]
+
+__getattr__ = deprecated_getattr(
+    __name__, {"TableSource": ("repro.io.table_source", "use MemorySource over the triples")}
+)

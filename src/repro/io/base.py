@@ -1,8 +1,8 @@
 """The :class:`DataSource` protocol: the single way data enters the library.
 
 Historically the library had five disjoint ingestion styles — CSV/JSON
-loaders, :class:`~repro.data.raw.RawDatabase`, relational
-:class:`~repro.store.table.Table` rows, the synthetic simulators and
+loaders, :class:`~repro.data.raw.RawDatabase`, relational table rows (a
+deprecated path), the synthetic simulators and
 :class:`~repro.streaming.stream.ClaimStream` — and every new workload or
 backend had to hand-wire triples into ``build_dataset`` itself.
 
@@ -16,7 +16,8 @@ backend had to hand-wire triples into ``build_dataset`` itself.
   of triples at a time or entity-grouped (how crawls and feeds deliver
   data), ready for :meth:`~repro.engine.TruthEngine.partial_fit`;
 * :meth:`DataSource.to_dataset` / :meth:`DataSource.to_claim_matrix` — batch
-  materialisation through the vectorized bulk-ingest path.
+  materialisation through :func:`~repro.data.claim_builder.bulk_build_claim_matrix`,
+  the one claim builder.
 
 Concrete sources live in :mod:`repro.io.sources`; named, parameterised
 sources are registered in the :class:`~repro.io.catalog.DatasetCatalog`.

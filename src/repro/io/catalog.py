@@ -10,7 +10,7 @@ and aliases, so workloads are reachable by name from
 
 :func:`as_source` is the universal coercion every retrofitted entry point
 uses: it turns a :class:`~repro.io.base.DataSource`, a catalog key, a file
-path, a :class:`~repro.data.raw.RawDatabase`, a relational table, a
+path, a :class:`~repro.data.raw.RawDatabase`, a (deprecated) relational table, a
 :class:`~repro.data.dataset.TruthDataset` or any triple iterable into a
 :class:`~repro.io.base.DataSource`.
 """
@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping
 
+from repro._deprecation import is_relational_table
 from repro.data.dataset import TruthDataset
 from repro.data.raw import RawDatabase
 from repro.exceptions import ConfigurationError
@@ -30,10 +31,8 @@ from repro.io.sources import (
     JsonDatasetSource,
     MemorySource,
     SyntheticSource,
-    TableSource,
     TripleFileSource,
 )
-from repro.store.table import Table
 from repro.types import Triple
 
 __all__ = [
@@ -422,8 +421,8 @@ def as_source(
       :class:`~repro.io.sources.DatasetSource`;
     * a :class:`~repro.data.raw.RawDatabase` or any iterable of triples —
       wrapped in :class:`~repro.io.sources.MemorySource`;
-    * a relational :class:`~repro.store.Table` — wrapped in
-      :class:`~repro.io.sources.TableSource`;
+    * a (deprecated) relational :class:`~repro.store.table.Table` — wrapped
+      in the deprecated :class:`~repro.io.table_source.TableSource`;
     * a ``store://`` URL — opened as an out-of-core
       :class:`~repro.io.store_source.StoreSource` over the claim store at
       the path after the prefix (``store://claims.db`` is relative,
@@ -449,7 +448,9 @@ def as_source(
         return DatasetSource(data)
     if isinstance(data, RawDatabase):
         return MemorySource(data)
-    if isinstance(data, Table):
+    if is_relational_table(data):
+        from repro.io.table_source import TableSource
+
         return TableSource(data, **params)
     if isinstance(data, (str, Path)):
         resolved = catalog if catalog is not None else default_catalog()

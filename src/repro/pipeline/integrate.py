@@ -4,8 +4,9 @@
 the input through :func:`repro.io.as_source` (so catalog keys, files, tables
 and in-memory triples all work), builds the claim matrix, hands it to the
 unified :class:`~repro.engine.TruthEngine` for fitting and thresholding, and
-optionally materialises the intermediate relational tables as a debug
-workspace.  :func:`repro.discover` wraps it in one line.
+optionally returns the paper's raw, fact, claim and truth relations as a
+debug workspace of read-only column views.  :func:`repro.discover` wraps it
+in one line.
 
 With an :class:`~repro.engine.ExecutionConfig` of ``num_shards > 1`` the fit
 runs entity-sharded through :mod:`repro.parallel` (the historical
@@ -17,22 +18,24 @@ deprecation window; use :func:`run_integration` or
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Iterable
+
+import numpy as np
 
 from repro.core.base import SourceQualityTable, TruthMethod, TruthResult
 from repro.core.model import LatentTruthModel
-from repro.data.claim_builder import ClaimTableBuilder, build_claim_matrix
 from repro.data.dataset import ClaimMatrix
 from repro.data.raw import RawDatabase
 from repro.engine.config import EngineConfig, ExecutionConfig
 from repro.engine.facade import TruthEngine
 from repro.engine.registry import default_registry
 from repro.exceptions import ConfigurationError
-from repro.store import Column, Database, Schema
 from repro.types import Triple
 
 __all__ = ["IntegrationResult", "run_integration"]
+
+#: A relation as named columns (equal-length, read-only numpy arrays).
+Relation = dict[str, np.ndarray]
 
 
 @dataclass
@@ -54,8 +57,14 @@ class IntegrationResult:
     claims:
         The claim matrix the solver was fitted on.
     workspace:
-        A relational :class:`~repro.store.Database` holding the raw, fact,
-        claim and truth tables of the run (for inspection and debugging).
+        With ``keep_workspace=True``, the run's relations (Definitions 1-4)
+        for inspection and debugging: a dict of ``"raw_database"``
+        (``entity``, ``attribute``, ``source``: the distinct triples, in
+        claim order), ``"facts"`` (``fact_id``, ``entity``, ``attribute``),
+        ``"claims"`` (``fact_id``, ``source``, ``observation``) and
+        ``"truths"`` (``fact_id``, ``entity``, ``attribute``, ``score``,
+        ``truth``), each a dict of equal-length, read-only numpy columns
+        viewing :attr:`claims` and :attr:`truth_result`.
     """
 
     merged_records: dict[str, list[str]] = field(default_factory=dict)
@@ -64,7 +73,7 @@ class IntegrationResult:
     source_quality: SourceQualityTable | None = None
     truth_result: TruthResult | None = None
     claims: ClaimMatrix | None = None
-    workspace: Database | None = None
+    workspace: dict[str, Relation] | None = None
 
     def accepted_values(self, entity: str) -> list[str]:
         """Accepted attribute values of ``entity`` (empty when unknown)."""
@@ -107,8 +116,8 @@ def run_integration(
         Truth-probability threshold above which a fact is accepted into the
         merged records.
     keep_workspace:
-        Whether to materialise the intermediate relational tables in the
-        result's ``workspace`` database (useful for debugging, costs memory).
+        Whether to return the run's raw, fact, claim and truth relations as
+        the result's ``workspace`` (read-only column views, for debugging).
     execution:
         Optional :class:`~repro.engine.ExecutionConfig`; with
         ``num_shards > 1`` the fit runs entity-sharded through
@@ -121,49 +130,25 @@ def run_integration(
     if not 0.0 <= threshold <= 1.0:
         raise ConfigurationError("threshold must lie in [0, 1]")
 
-    if execution is not None and execution.sharded:
-        return _run_sharded_integration(
-            data,
-            method=method,
-            threshold=threshold,
-            keep_workspace=keep_workspace,
-            execution=execution,
-            method_params=method_params,
+    sharded = execution is not None and execution.sharded
+    if sharded:
+        engine = _sharded_engine(method, threshold, execution, method_params)
+    else:
+        engine = TruthEngine(
+            EngineConfig(threshold=threshold), solver=_solver(method, method_params)
         )
-
-    if isinstance(method, str):
-        method = default_registry().create(method, **method_params)
-    elif method_params:
-        raise ConfigurationError(
-            "method hyperparameters are only accepted with a string method name"
-        )
-    solver = method if method is not None else LatentTruthModel()
 
     # Every input style — raw databases, tables, datasets, catalog keys,
     # files, plain iterables — goes through the one coercion layer, so none
-    # can fall through to a wrong interpretation.  The vectorized bulk path
-    # builds the claim matrix; the per-row RawDatabase and relational views
-    # are only materialised when the debug workspace is wanted.
-    if isinstance(data, RawDatabase):
-        raw: RawDatabase | None = data
-        raw.require_non_empty()
-        claims = build_claim_matrix(raw)
-    else:
-        from repro.io.catalog import as_source  # lazy: repro.io builds on the engine
+    # can fall through to a wrong interpretation.
+    from repro.io.catalog import as_source  # lazy: repro.io builds on the engine
 
-        source = as_source(data)
-        raw = source.to_raw(strict=False) if keep_workspace else None
-        claims = build_claim_matrix(raw) if raw is not None else source.to_claim_matrix()
-
-    engine = TruthEngine(EngineConfig(threshold=threshold), solver=solver)
-    engine.fit(claims)
+    source = as_source(data)
+    # A serial fit takes the claim matrix, so the engine keeps no copy of the
+    # triples; a sharded fit partitions the source's triples by entity.
+    engine.fit(source if sharded else source.to_claim_matrix())
     truth_result = engine.result()
-
-    workspace = (
-        _build_workspace(raw, ClaimTableBuilder(raw), claims, truth_result, threshold)
-        if keep_workspace and raw is not None
-        else None
-    )
+    claims = engine.claims()
     return IntegrationResult(
         merged_records=engine.merged_records(),
         rejected_records=engine.rejected_records(),
@@ -171,25 +156,32 @@ def run_integration(
         source_quality=truth_result.source_quality,
         truth_result=truth_result,
         claims=claims,
-        workspace=workspace,
+        workspace=_workspace(claims, truth_result, threshold) if keep_workspace else None,
     )
 
 
-def _run_sharded_integration(
-    data: Any,
-    *,
+def _solver(method: TruthMethod | str | None, method_params: dict[str, Any]) -> TruthMethod:
+    """The solver of a serial run: an instance, a registry key, or the LTM default."""
+    if isinstance(method, str):
+        return default_registry().create(method, **method_params)
+    if method_params:
+        raise ConfigurationError(
+            "method hyperparameters are only accepted with a string method name"
+        )
+    return method if method is not None else LatentTruthModel()
+
+
+def _sharded_engine(
     method: TruthMethod | str | None,
     threshold: float,
-    keep_workspace: bool,
     execution: ExecutionConfig,
     method_params: dict[str, Any],
-) -> IntegrationResult:
-    """The entity-sharded variant of :func:`run_integration`.
+) -> TruthEngine:
+    """The engine of an entity-sharded run.
 
     The engine plans, executes and merges the shards
     (:meth:`~repro.engine.TruthEngine.fit` routes through
-    :mod:`repro.parallel` when ``execution.num_shards > 1``); this wrapper
-    only handles input coercion and the optional debug workspace.
+    :mod:`repro.parallel` when ``execution.num_shards > 1``).
     """
     if method is None:
         method = "ltm"
@@ -198,7 +190,7 @@ def _run_sharded_integration(
             "sharded execution resolves the solver through the registry on "
             "every shard; pass a registry method key, not a solver instance"
         )
-    engine = TruthEngine(
+    return TruthEngine(
         EngineConfig(
             method=method,
             params=dict(method_params),
@@ -206,79 +198,45 @@ def _run_sharded_integration(
             execution=execution,
         )
     )
-    if isinstance(data, RawDatabase):
-        raw: RawDatabase | None = data
-    else:
-        from repro.io.catalog import as_source  # lazy: repro.io builds on the engine
 
-        source = as_source(data)
-        raw = source.to_raw(strict=False) if keep_workspace else None
-        data = raw if raw is not None else source
-    engine.fit(data)
-    truth_result = engine.result()
-    claims = engine.claims()
-    workspace = (
-        _build_workspace(raw, ClaimTableBuilder(raw), claims, truth_result, threshold)
-        if keep_workspace and raw is not None
-        else None
+
+def _read_only(column: np.ndarray) -> np.ndarray:
+    view = column.view()
+    view.flags.writeable = False
+    return view
+
+
+def _workspace(
+    claims: ClaimMatrix, truth_result: TruthResult, threshold: float
+) -> dict[str, Relation]:
+    """The raw, fact, claim and truth relations of a run as read-only columns."""
+    fact_id = np.arange(claims.num_facts, dtype=np.int64)
+    entity = np.fromiter((f.entity for f in claims.facts), dtype=object, count=claims.num_facts)
+    attribute = np.fromiter(
+        (f.attribute for f in claims.facts), dtype=object, count=claims.num_facts
     )
-    return IntegrationResult(
-        merged_records=engine.merged_records(),
-        rejected_records=engine.rejected_records(),
-        fact_scores=engine.fact_scores,
-        source_quality=truth_result.source_quality,
-        truth_result=truth_result,
-        claims=claims,
-        workspace=workspace,
-    )
-
-
-def _build_workspace(
-    raw: RawDatabase,
-    builder: ClaimTableBuilder,
-    claims: ClaimMatrix,
-    truth_result: TruthResult,
-    threshold: float,
-) -> Database:
-    """Materialise raw/fact/claim/truth tables as a relational workspace."""
-    workspace = Database("integration")
-
-    raw_table = workspace.create_table(
-        "raw_database",
-        Schema(
-            columns=(Column("entity", object), Column("attribute", object), Column("source", object)),
-        ),
-    )
-    for triple in raw:
-        raw_table.insert(
-            {"entity": triple.entity, "attribute": triple.attribute, "source": triple.source}
-        )
-
-    workspace.attach(builder.fact_table())
-    workspace.attach(builder.claim_table())
-
-    truth_table = workspace.create_table(
-        "truths",
-        Schema(
-            columns=(
-                Column("fact_id", int),
-                Column("entity", object),
-                Column("attribute", object),
-                Column("score", float),
-                Column("truth", bool),
-            ),
-            key=("fact_id",),
-        ),
-    )
-    for fact in claims.facts:
-        score = float(truth_result.scores[fact.fact_id])
-        truth_table.insert(
-            {
-                "fact_id": fact.fact_id,
-                "entity": fact.entity,
-                "attribute": fact.attribute,
-                "score": score,
-                "truth": bool(score >= threshold),
-            }
-        )
-    return workspace
+    source = np.fromiter(claims.source_names, dtype=object, count=claims.num_sources)
+    claim_source = source[claims.claim_source]
+    positive = claims.claim_obs.astype(bool)
+    asserted = claims.claim_fact[positive]
+    scores = np.asarray(truth_result.scores, dtype=float)
+    relations = {
+        "raw_database": {
+            "entity": entity[asserted],
+            "attribute": attribute[asserted],
+            "source": claim_source[positive],
+        },
+        "facts": {"fact_id": fact_id, "entity": entity, "attribute": attribute},
+        "claims": {"fact_id": claims.claim_fact, "source": claim_source, "observation": positive},
+        "truths": {
+            "fact_id": fact_id,
+            "entity": entity,
+            "attribute": attribute,
+            "score": scores,
+            "truth": scores >= threshold,
+        },
+    }
+    return {
+        name: {column: _read_only(values) for column, values in relation.items()}
+        for name, relation in relations.items()
+    }

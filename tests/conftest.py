@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.data.claim_builder import ClaimTableBuilder, build_dataset
+from repro.data.claim_builder import build_claim_matrix, build_dataset
 from repro.data.raw import RawDatabase
 from repro.synth.books import BookAuthorConfig, BookAuthorSimulator
 from repro.synth.ltm_generative import LTMGenerativeConfig, generate_ltm_dataset_with_parameters
@@ -47,15 +47,9 @@ def paper_raw(paper_triples) -> RawDatabase:
 
 
 @pytest.fixture
-def paper_builder(paper_raw) -> ClaimTableBuilder:
-    """A claim builder over the paper example."""
-    return ClaimTableBuilder(paper_raw)
-
-
-@pytest.fixture
-def paper_claims(paper_builder):
+def paper_claims(paper_raw):
     """The claim matrix of paper Table 3."""
-    return paper_builder.build()
+    return build_claim_matrix(paper_raw)
 
 
 @pytest.fixture

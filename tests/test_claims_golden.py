@@ -5,10 +5,10 @@ Each case is a triple corpus; ``golden_claims.json`` holds the digests of its
 claim matrix (source names, the ``(fact_id, entity, attribute)`` list and the
 three claim arrays, see :func:`claim_reference.claim_digests`).  Every ingest
 path must reproduce them: the bulk builder on rows and on columns,
-``build_claim_matrix`` over a :class:`~repro.data.raw.RawDatabase`, and the
-in-memory and file sources.  The digests are data, not a regeneration
-target: a change that moves one changes the claim relations every solver
-sees.
+``build_claim_matrix`` over a :class:`~repro.data.raw.RawDatabase`, the
+in-memory and file sources, and the row-at-a-time test reference.  The
+digests are data, not a regeneration target: a change that moves one
+changes the claim relations every solver sees.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from claim_reference import claim_digests
+from claim_reference import claim_digests, reference_claim_matrix
 from test_io_catalog import SMALL_PARAMS
 
 from repro.data.claim_builder import build_claim_matrix, bulk_build_claim_matrix
@@ -82,6 +82,11 @@ def corpora() -> dict[str, list[Triple]]:
 
 def test_golden_file_covers_every_case():
     assert sorted(GOLDEN) == sorted(CASES)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_row_at_a_time_reference(case, corpora):
+    assert claim_digests(reference_claim_matrix(corpora[case])) == GOLDEN[case]
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

@@ -5,15 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.data.claim_builder import (
-    ClaimTableBuilder,
-    build_claim_matrix,
-    build_dataset,
-    bulk_build_claim_matrix,
-)
+from claim_reference import reference_claim_matrix
+
+from repro.baselines.voting import Voting
+from repro.data.claim_builder import build_claim_matrix, build_dataset, bulk_build_claim_matrix
 from repro.data.raw import RawDatabase
-from repro.exceptions import DuplicateRowError, EmptyDatasetError
-from repro.types import Triple
+from repro.exceptions import DataModelError, DuplicateRowError, EmptyDatasetError
+from repro.pipeline import run_integration
+from repro.types import Triple, TripleColumns
+
+
+@pytest.fixture
+def paper_workspace(paper_triples):
+    """The paper example's relations, as ``run_integration`` returns them."""
+    return run_integration(paper_triples, method=Voting(), keep_workspace=True).workspace
 
 
 class TestFactTable:
@@ -24,10 +29,10 @@ class TestFactTable:
     def test_fact_ids_are_dense(self, paper_claims):
         assert [f.fact_id for f in paper_claims.facts] == list(range(5))
 
-    def test_fact_table_relational_view(self, paper_builder):
-        table = paper_builder.fact_table()
-        assert len(table) == 5
-        assert set(table.column_names) == {"fact_id", "entity", "attribute"}
+    def test_fact_table_relational_view(self, paper_workspace):
+        table = paper_workspace["facts"]
+        assert len(table["fact_id"]) == 5
+        assert set(table) == {"fact_id", "entity", "attribute"}
 
 
 class TestClaimGeneration:
@@ -69,21 +74,21 @@ class TestClaimGeneration:
         pairs = list(zip(paper_claims.claim_fact.tolist(), paper_claims.claim_source.tolist()))
         assert len(pairs) == len(set(pairs))
 
-    def test_claim_table_relational_view(self, paper_builder):
-        table = paper_builder.claim_table()
-        assert len(table) == 13
-        true_count = sum(1 for row in table if row["observation"])
+    def test_claim_table_relational_view(self, paper_workspace):
+        table = paper_workspace["claims"]
+        assert len(table["fact_id"]) == 13
+        true_count = sum(1 for observation in table["observation"] if observation)
         assert true_count == 8
 
     def test_duplicate_triples_do_not_duplicate_claims(self):
         raw = RawDatabase(strict=False)
         raw.extend([("e", "a", "s"), ("e", "a", "s"), ("e", "b", "s2")])
-        claims = ClaimTableBuilder(raw).build()
+        claims = build_claim_matrix(raw)
         assert claims.num_claims == 4  # 2 positive + 2 negative
 
     def test_empty_raw_database_rejected(self):
         with pytest.raises(EmptyDatasetError):
-            ClaimTableBuilder(RawDatabase())
+            build_claim_matrix(RawDatabase())
 
 
 class TestBuildHelpers:
@@ -117,20 +122,21 @@ class TestBuildHelpers:
         )
         assert dataset.num_labelled == 1
 
-    def test_builder_fact_ids_mapping(self, paper_builder):
-        paper_builder.build()
-        mapping = paper_builder.fact_ids
+    def test_builder_fact_ids_mapping(self, paper_workspace):
+        facts = paper_workspace["facts"]
+        mapping = dict(zip(zip(facts["entity"], facts["attribute"]), facts["fact_id"]))
         assert mapping[("Pirates 4", "Johnny Depp")] == 4
 
-    def test_build_is_idempotent(self, paper_builder):
-        first = paper_builder.build()
-        second = paper_builder.build()
+    def test_build_is_idempotent(self, paper_raw):
+        first = build_claim_matrix(paper_raw)
+        second = build_claim_matrix(paper_raw)
         assert first.num_claims == second.num_claims
         assert np.array_equal(first.claim_fact, second.claim_fact)
 
 
 # ---------------------------------------------------------------------------
-# Vectorized bulk ingest: must be indistinguishable from the sequential path
+# Vectorized bulk ingest: must be indistinguishable from the row-at-a-time
+# reference of Definitions 2-3 (tests/claim_reference.py)
 # ---------------------------------------------------------------------------
 _triples_strategy = st.lists(
     st.tuples(
@@ -158,12 +164,14 @@ class TestBulkIngestParity:
     @settings(max_examples=150, deadline=None)
     @given(triples=_triples_strategy)
     def test_bulk_matches_sequential_builder(self, triples):
-        seq = ClaimTableBuilder(RawDatabase(triples, strict=False)).build()
+        seq = reference_claim_matrix(triples)
         blk = bulk_build_claim_matrix(triples)
         _assert_matrices_identical(seq, blk)
 
-    def test_paper_example_identical(self, paper_triples, paper_claims):
-        _assert_matrices_identical(paper_claims, bulk_build_claim_matrix(paper_triples))
+    def test_paper_example_identical(self, paper_triples):
+        _assert_matrices_identical(
+            reference_claim_matrix(paper_triples), bulk_build_claim_matrix(paper_triples)
+        )
 
     def test_accepts_triple_objects_tuples_and_mixed(self):
         as_tuples = [("e", "a", "s1"), ("e", "b", "s2")]
@@ -173,12 +181,14 @@ class TestBulkIngestParity:
         for variant in (as_triples, mixed):
             _assert_matrices_identical(reference, bulk_build_claim_matrix(variant))
 
-    def test_accepts_raw_database(self, paper_raw, paper_claims):
-        _assert_matrices_identical(paper_claims, bulk_build_claim_matrix(paper_raw))
+    def test_accepts_raw_database(self, paper_triples, paper_raw):
+        _assert_matrices_identical(
+            reference_claim_matrix(paper_triples), bulk_build_claim_matrix(paper_raw)
+        )
 
     def test_non_string_attributes_survive(self):
         triples = [("e1", 1, "s1"), ("e1", "x", "s2"), ("e2", 2.5, "s1"), ("e2", 2.5, "s3")]
-        seq = ClaimTableBuilder(RawDatabase(triples, strict=False)).build()
+        seq = reference_claim_matrix(triples)
         blk = bulk_build_claim_matrix(triples)
         _assert_matrices_identical(seq, blk)
         assert blk.facts[0].attribute == 1  # values, not str renderings
@@ -194,8 +204,6 @@ class TestBulkIngestParity:
             bulk_build_claim_matrix([])
 
     def test_wrong_arity_rejected_not_truncated(self):
-        from repro.exceptions import DataModelError
-
         with pytest.raises(DataModelError, match="expected \\(entity, attribute, source\\)"):
             bulk_build_claim_matrix([("e", "a", "s", "extra-column")])
         with pytest.raises(DataModelError):
@@ -210,4 +218,21 @@ class TestBulkIngestParity:
         )
 
     def test_classmethod_alias(self, paper_triples, paper_claims):
+        with pytest.warns(DeprecationWarning, match="ClaimTableBuilder"):
+            from repro.data.claim_builder import ClaimTableBuilder
         _assert_matrices_identical(paper_claims, ClaimTableBuilder.bulk(paper_triples))
+
+    @pytest.mark.parametrize("field", [0, 1, 2])
+    def test_none_field_rejected_naming_column_and_triple(self, field):
+        triple = ["e", "a", "s"]
+        triple[field] = None
+        name = ("entity", "attribute", "source")[field]
+        rows = [("e0", "a0", "s0"), tuple(triple)]
+        message = f"{name} is None in triple {tuple(triple)!r}"
+        for data in (rows, TripleColumns(*zip(*rows))):
+            with pytest.raises(DataModelError) as excinfo:
+                bulk_build_claim_matrix(data)
+            assert str(excinfo.value) == message
+        with pytest.raises(DataModelError) as excinfo:
+            RawDatabase(rows)
+        assert str(excinfo.value) == message

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.data.raw import RawDatabase
-from repro.exceptions import DuplicateRowError, EmptyDatasetError
+from repro.exceptions import DataModelError, DuplicateRowError, EmptyDatasetError
 from repro.types import Triple
 
 
@@ -80,7 +80,21 @@ class TestRawDatabase:
         assert len(triples) == 8
 
     def test_underlying_table_has_key(self, paper_raw):
-        assert paper_raw.table.contains_key(("Harry Potter", "Rupert Grint", "IMDB"))
+        with pytest.warns(DeprecationWarning, match="RawDatabase.table"):
+            table = paper_raw.table
+        assert table.contains_key(("Harry Potter", "Rupert Grint", "IMDB"))
+
+    def test_iteration_keeps_insertion_order(self, paper_triples):
+        raw = RawDatabase([*paper_triples, paper_triples[0]], strict=False)
+        assert list(raw) == paper_triples
+
+    @pytest.mark.parametrize("field", ["entity", "attribute", "source"])
+    def test_none_field_rejected_before_any_change(self, paper_raw, field):
+        triple = {"entity": "e", "attribute": "a", "source": "s", field: None}
+        before = (list(paper_raw), paper_raw.entities, paper_raw.sources)
+        with pytest.raises(DataModelError, match=f"{field} is None in triple"):
+            paper_raw.add(Triple(**triple))
+        assert (list(paper_raw), paper_raw.entities, paper_raw.sources) == before
 
 
 class TestTripleType:

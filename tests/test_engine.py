@@ -9,7 +9,8 @@ from repro.baselines import Voting
 from repro.core.model import LatentTruthModel
 from repro.data.claim_builder import build_claim_matrix
 from repro.engine.registry import MethodRegistry, MethodSpec
-from repro.exceptions import ConfigurationError, NotFittedError, StreamError
+from repro.exceptions import ConfigurationError, DataModelError, NotFittedError, StreamError
+from repro.io import as_source
 from repro.pipeline import run_integration
 from repro.streaming import ClaimStream
 from repro.types import Triple
@@ -257,7 +258,7 @@ class TestDiscover:
     def test_discover_keep_workspace(self, paper_triples):
         result = discover(paper_triples, method="voting", keep_workspace=True)
         assert result.workspace is not None
-        assert "truths" in result.workspace.table_names
+        assert "truths" in result.workspace
 
 
 class TestStreamingParity:
@@ -299,3 +300,34 @@ class TestRunIntegrationEntryPoint:
         assert result.truth_result.method == "Voting"
         with pytest.raises(ConfigurationError):
             run_integration(paper_triples, method=Voting(), iterations=5)
+
+
+class TestNoneFieldsAreRejected:
+    """``None`` is no entity, value or source: every ingest path raises the
+    same ``DataModelError``, before any state changes."""
+
+    BAD = [("new", None, "IMDB"), ("new", "x", "Netflix")]
+    MESSAGE = "attribute is None in triple \\('new', None, 'IMDB'\\)"
+
+    def test_fit_rejects_none(self):
+        with pytest.raises(DataModelError, match=self.MESSAGE):
+            TruthEngine(method="voting").fit(self.BAD)
+
+    def test_as_source_claim_matrix_rejects_none(self):
+        with pytest.raises(DataModelError, match=self.MESSAGE):
+            as_source(self.BAD).to_claim_matrix()
+        with pytest.raises(DataModelError, match=self.MESSAGE):
+            build_claim_matrix(self.BAD)
+
+    def test_partial_fit_rejects_none_and_leaves_state_unchanged(self, paper_triples):
+        engine = TruthEngine(method="ltm", params={"iterations": 10, "seed": 0})
+        engine.fit(paper_triples)
+        engine.partial_fit([("Pirates 4", "Keira Knightley", "IMDB")])
+        scores, reports = dict(engine.fact_scores), list(engine.reports)
+        history = len(engine._history)
+        with pytest.raises(DataModelError, match=self.MESSAGE):
+            engine.partial_fit(self.BAD)
+        assert engine.fact_scores == scores
+        assert ("new", "None") not in engine.fact_scores
+        assert engine.reports == reports
+        assert len(engine._history) == history

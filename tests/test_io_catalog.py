@@ -1,16 +1,18 @@
 """Tests for the dataset catalog, `as_source` coercion, and — the acceptance
 criterion of the `repro.io` unification — score parity: for every catalog
 source, `TruthEngine.fit(source)` and streaming `partial_fit` over
-`source.iter_batches(...)` must produce scores identical to the pre-existing
-`build_dataset` / `ClaimTableBuilder` path."""
+`source.iter_batches(...)` must produce scores identical to a solver fitted on
+the row-at-a-time reference claim matrix (`tests/claim_reference.py`)."""
 
 import numpy as np
 import pytest
 
+from claim_reference import reference_claim_matrix
+
 from repro.baselines.voting import Voting
 from repro.core.model import LatentTruthModel
 from repro.core.priors import LTMPriors
-from repro.data.claim_builder import ClaimTableBuilder, build_dataset
+from repro.data.claim_builder import build_dataset
 from repro.data.loaders import save_dataset_json, save_triples_csv
 from repro.data.raw import RawDatabase
 from repro.engine import EngineConfig, TruthEngine
@@ -22,12 +24,10 @@ from repro.io import (
     DatasetSpec,
     JsonDatasetSource,
     MemorySource,
-    TableSource,
     TripleFileSource,
     as_source,
     default_catalog,
 )
-from repro.store import Column, Schema, Table
 from repro.streaming import ClaimStream
 from repro.types import Triple
 
@@ -50,6 +50,19 @@ SMALL_PARAMS: dict[str, dict] = {
     "ltm_generative": {"num_facts": 60, "num_sources": 8, "seed": 5},
     "adversarial": {"num_movies": 80, "labelled_movies": 20, "seed": 5},
 }
+
+
+def _relational_table():
+    """TRIPLES in a relational table (deprecated, still accepted as input)."""
+    with pytest.warns(DeprecationWarning):
+        from repro.store import Column, Schema, Table
+    table = Table(
+        "raw",
+        Schema(columns=(Column("entity", object), Column("attribute", object), Column("source", object))),
+    )
+    for t in TRIPLES:
+        table.insert({"entity": t.entity, "attribute": t.attribute, "source": t.source})
+    return table
 
 
 class TestDatasetCatalog:
@@ -107,12 +120,9 @@ class TestAsSource:
         save_triples_csv(TRIPLES, tsv)
         json_path = tmp_path / "ds.json"
         save_dataset_json(build_dataset(TRIPLES), json_path)
-        table = Table(
-            "raw",
-            Schema(columns=(Column("entity", object), Column("attribute", object), Column("source", object))),
-        )
-        for t in TRIPLES:
-            table.insert({"entity": t.entity, "attribute": t.attribute, "source": t.source})
+        table = _relational_table()
+        with pytest.warns(DeprecationWarning):
+            from repro.io import TableSource
 
         assert isinstance(as_source(TRIPLES), MemorySource)
         assert isinstance(as_source(RawDatabase(TRIPLES)), MemorySource)
@@ -135,7 +145,7 @@ class TestAsSource:
 
 
 class TestCatalogParity:
-    """`TruthEngine.fit(source)` == pre-existing `build_dataset` path."""
+    """`TruthEngine.fit(source)` == a solver fitted on the reference matrix."""
 
     def test_every_catalog_key_has_parity_params(self):
         assert sorted(default_catalog().names()) == sorted(SMALL_PARAMS)
@@ -145,9 +155,8 @@ class TestCatalogParity:
         source = default_catalog().create(key, **SMALL_PARAMS[key])
         triples = list(source.iter_triples())
 
-        # The pre-existing path: per-triple RawDatabase + sequential builder,
-        # solver fitted directly on the matrix.
-        matrix = ClaimTableBuilder(RawDatabase(triples, strict=False)).build()
+        # The row-at-a-time reference matrix, solver fitted on it directly.
+        matrix = reference_claim_matrix(triples)
         expected = Voting().fit(matrix).scores
 
         engine = TruthEngine(method="voting").fit(source)
@@ -162,7 +171,7 @@ class TestCatalogParity:
         """Gibbs-sampled LTM is bit-identical too (same matrix, same seed)."""
         source = default_catalog().create(key, **SMALL_PARAMS[key])
         triples = list(source.iter_triples())
-        matrix = ClaimTableBuilder(RawDatabase(triples, strict=False)).build()
+        matrix = reference_claim_matrix(triples)
         expected = LatentTruthModel(iterations=25, seed=11).fit(matrix).scores
 
         engine = TruthEngine(method="ltm", iterations=25, seed=11).fit(source)
@@ -209,12 +218,7 @@ class TestCatalogParity:
         """A relational Table / TruthDataset must coerce, not iterate as rows."""
         from repro.pipeline.integrate import run_integration
 
-        table = Table(
-            "raw",
-            Schema(columns=(Column("entity", object), Column("attribute", object), Column("source", object))),
-        )
-        for t in TRIPLES:
-            table.insert({"entity": t.entity, "attribute": t.attribute, "source": t.source})
+        table = _relational_table()
         dataset = build_dataset(TRIPLES)
 
         expected = sorted(

@@ -13,10 +13,8 @@ from repro.io.sources import (
     JsonDatasetSource,
     MemorySource,
     SyntheticSource,
-    TableSource,
     TripleFileSource,
 )
-from repro.store import Column, Database, Schema, Table
 from repro.streaming import ClaimStream
 from repro.types import Triple
 
@@ -152,8 +150,13 @@ class TestJsonDatasetSource:
         assert source.schema().kind == "json"
 
 
+@pytest.mark.filterwarnings("ignore:repro.store.* is deprecated:DeprecationWarning")
 class TestTableSource:
-    def _table(self) -> Table:
+    """The deprecated relational source still works during its window."""
+
+    def _table(self):
+        from repro.store import Column, Schema, Table
+
         table = Table(
             "assertions",
             Schema(columns=(Column("movie", object), Column("director", object), Column("feed", object))),
@@ -163,12 +166,18 @@ class TestTableSource:
         return table
 
     def test_column_mapping(self):
+        with pytest.warns(DeprecationWarning, match="TableSource"):
+            from repro.io.sources import TableSource
         source = TableSource(self._table(), entity="movie", attribute="director", source="feed")
         assert list(source.iter_triples()) == TRIPLES
         assert source.schema().num_triples == len(TRIPLES)
         assert source.schema().metadata["columns"]["entity"] == "movie"
 
     def test_database_lookup(self):
+        from repro.store import Database
+
+        with pytest.warns(DeprecationWarning, match="TableSource"):
+            from repro.io.sources import TableSource
         db = Database("workspace")
         db.attach(self._table())
         source = TableSource(db, "assertions", entity="movie", attribute="director", source="feed")
@@ -177,6 +186,8 @@ class TestTableSource:
             TableSource(db)  # table_name required
 
     def test_missing_column_rejected(self):
+        with pytest.warns(DeprecationWarning, match="TableSource"):
+            from repro.io.sources import TableSource
         with pytest.raises(ConfigurationError, match="no column"):
             TableSource(self._table())  # default entity/attribute/source absent
 

@@ -6,7 +6,9 @@ from repro.baselines import Voting
 from repro.cli import build_parser, main
 from repro.core.model import LatentTruthModel
 from repro.data.loaders import save_labels_csv, save_triples_csv
+from repro.engine import ExecutionConfig
 from repro.exceptions import ConfigurationError, EmptyDatasetError
+from repro.io.base import DataSource
 from repro.pipeline import format_merged_records, format_quality_report, run_integration
 from repro.pipeline.report import format_integration_summary
 
@@ -37,9 +39,47 @@ class TestRunIntegration:
         result = run_integration(paper_triples, method=Voting(), keep_workspace=True)
         workspace = result.workspace
         assert workspace is not None
-        assert set(workspace.table_names) == {"raw_database", "facts", "claims", "truths"}
-        assert len(workspace.table("claims")) == result.claims.num_claims
-        assert len(workspace.table("truths")) == result.claims.num_facts
+        assert set(workspace) == {"raw_database", "facts", "claims", "truths"}
+        assert len(workspace["claims"]["fact_id"]) == result.claims.num_claims
+        assert len(workspace["truths"]["fact_id"]) == result.claims.num_facts
+
+    @pytest.mark.parametrize("execution", [None, ExecutionConfig(num_shards=2)])
+    def test_workspace_views_the_run(self, paper_triples, monkeypatch, execution):
+        def no_raw(self, strict=False):
+            raise AssertionError("the workspace must not materialise a RawDatabase")
+
+        monkeypatch.setattr(DataSource, "to_raw", no_raw)
+        result = run_integration(
+            paper_triples, method="voting", threshold=0.6, keep_workspace=True, execution=execution
+        )
+        claims, scores, workspace = result.claims, result.truth_result.scores, result.workspace
+        raw = workspace["raw_database"]
+        # The distinct triples, in claim order.
+        assert list(zip(raw["entity"], raw["attribute"], raw["source"])) == [
+            (claims.fact(f).entity, claims.fact(f).attribute, claims.source_names[s])
+            for f, s, o in zip(claims.claim_fact, claims.claim_source, claims.claim_obs)
+            if o
+        ]
+        assert sorted(zip(raw["entity"], raw["attribute"], raw["source"])) == sorted(
+            t.as_tuple() for t in paper_triples
+        )
+        facts = workspace["facts"]
+        assert list(zip(facts["fact_id"], facts["entity"], facts["attribute"])) == [
+            (f.fact_id, f.entity, f.attribute) for f in claims.facts
+        ]
+        assert workspace["claims"]["fact_id"].tolist() == claims.claim_fact.tolist()
+        assert workspace["claims"]["source"].tolist() == [
+            claims.source_names[s] for s in claims.claim_source
+        ]
+        assert workspace["claims"]["observation"].tolist() == claims.claim_obs.astype(bool).tolist()
+        truths = workspace["truths"]
+        assert truths["score"].tolist() == scores.tolist()
+        assert truths["truth"].tolist() == (scores >= 0.6).tolist()
+        assert truths["entity"].tolist() == facts["entity"].tolist()
+        for relation in workspace.values():
+            for column in relation.values():
+                with pytest.raises(ValueError, match="read-only"):
+                    column[0] = column[0]
 
     def test_empty_input_rejected(self):
         with pytest.raises(EmptyDatasetError):

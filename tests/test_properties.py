@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -187,6 +188,7 @@ def test_confusion_matrix_measures_bounded(tp, fp, fn, tn):
 # ---------------------------------------------------------------------------
 # Store invariants
 # ---------------------------------------------------------------------------
+@pytest.mark.filterwarnings("ignore:repro.store.* is deprecated:DeprecationWarning")
 @given(st.lists(st.tuples(st.text(min_size=1, max_size=8), st.integers()), min_size=0, max_size=50))
 @settings(max_examples=60, deadline=None)
 def test_table_key_uniqueness(rows):

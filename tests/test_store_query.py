@@ -3,19 +3,13 @@
 import pytest
 
 from repro.exceptions import StoreError, UnknownColumnError
-from repro.store import (
-    Column,
-    Database,
-    Schema,
-    Table,
-    aggregate,
-    distinct,
-    equi_join,
-    group_by,
-    order_by,
-    project,
-    select,
-)
+from repro.store.database import Database
+from repro.store.query import aggregate, distinct, equi_join, group_by, order_by, project, select
+from repro.store.schema import Column, Schema
+from repro.store.table import Table
+
+# The relational engine is deprecated; its unit tests run until the window closes.
+pytestmark = pytest.mark.filterwarnings("ignore:repro.store.* is deprecated:DeprecationWarning")
 
 
 @pytest.fixture
