@@ -2,7 +2,8 @@
 
 A package's ``__getattr__`` from :func:`deprecated_getattr` imports the
 module defining a deprecated name only on first use, so importing the
-package never loads the seed's in-memory relational engine.
+package never loads the seed's in-memory relational engine; the other
+helpers let the deprecated paths reach that engine lazily too.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import importlib
 import sys
 import warnings
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 
 def deprecated_getattr(module: str, names: dict[str, tuple[str, str]]) -> Callable[[str], Any]:
@@ -34,3 +35,14 @@ def is_relational_table(data: Any) -> bool:
     """Whether ``data`` is a relational ``Table``, without importing its module."""
     table = sys.modules.get("repro.store.table")
     return table is not None and isinstance(data, table.Table)
+
+
+def relational_table(name: str, rows: Iterable[tuple], columns: tuple, key: tuple) -> Any:
+    """A ``Table`` holding ``rows``; each of ``columns`` holds ``Column`` arguments."""
+    from repro.store.schema import Column, Schema
+    from repro.store.table import Table
+
+    names = [column[0] for column in columns]
+    table = Table(name, Schema(tuple(Column(*column) for column in columns), key=key))
+    table.insert_many(dict(zip(names, row)) for row in rows)
+    return table

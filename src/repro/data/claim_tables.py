@@ -9,26 +9,15 @@ closes.  Use ``build_claim_matrix`` for the matrix and
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import Any, Iterable, Mapping
 
+from repro._deprecation import relational_table
 from repro.data.claim_builder import bulk_build_claim_matrix
 from repro.data.dataset import ClaimMatrix
 from repro.data.raw import RawDatabase
 from repro.types import AttributeValue, EntityKey, FactId, Triple, TripleColumns
 
-if TYPE_CHECKING:  # pragma: no cover - the relational engine is deprecated
-    from repro.store.table import Table
-
 __all__ = ["ClaimTableBuilder"]
-
-
-def _table(name: str, columns: tuple, key: tuple[str, ...], rows: Iterable[dict]) -> "Table":
-    from repro.store.schema import Column, Schema
-    from repro.store.table import Table
-
-    table = Table(name, Schema(tuple(Column(*c) for c in columns), key=key))
-    table.insert_many(rows)
-    return table
 
 
 class ClaimTableBuilder:
@@ -45,23 +34,19 @@ class ClaimTableBuilder:
             self._matrix = bulk_build_claim_matrix(self.raw)
         return self._matrix
 
-    def fact_table(self) -> "Table":
-        """The fact table (Definition 2 / paper Table 2) as a relational table."""
-        rows = (
-            {"fact_id": f.fact_id, "entity": f.entity, "attribute": f.attribute}
-            for f in self.build().facts
-        )
-        return _table("facts", (("fact_id", int), ("entity",), ("attribute",)), ("fact_id",), rows)
+    def fact_table(self) -> Any:
+        """The fact table (Definition 2 / paper Table 2) as a relational ``Table``."""
+        rows = ((f.fact_id, f.entity, f.attribute) for f in self.build().facts)
+        columns = (("fact_id", int), ("entity",), ("attribute",))
+        return relational_table("facts", rows, columns, key=("fact_id",))
 
-    def claim_table(self) -> "Table":
-        """The claim table (Definition 3 / paper Table 3) as a relational table."""
+    def claim_table(self) -> Any:
+        """The claim table (Definition 3 / paper Table 3) as a relational ``Table``."""
         m = self.build()
-        rows = (
-            {"fact_id": f, "source": m.source_names[s], "observation": bool(o)}
-            for f, s, o in zip(m.claim_fact.tolist(), m.claim_source.tolist(), m.claim_obs.tolist())
-        )
+        sources = (m.source_names[s] for s in m.claim_source.tolist())
+        rows = zip(m.claim_fact.tolist(), sources, map(bool, m.claim_obs.tolist()))
         columns = (("fact_id", int), ("source",), ("observation", bool))
-        return _table("claims", columns, ("fact_id", "source"), rows)
+        return relational_table("claims", rows, columns, key=("fact_id", "source"))
 
     @property
     def fact_ids(self) -> Mapping[tuple[EntityKey, AttributeValue], FactId]:

@@ -13,13 +13,11 @@ from __future__ import annotations
 
 import warnings
 from collections import defaultdict
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
+from repro._deprecation import relational_table
 from repro.exceptions import DataModelError, DuplicateRowError, EmptyDatasetError
 from repro.types import AttributeValue, EntityKey, SourceName, Triple
-
-if TYPE_CHECKING:  # pragma: no cover - the relational engine is deprecated
-    from repro.store.table import Table
 
 __all__ = ["RawDatabase"]
 
@@ -103,16 +101,12 @@ class RawDatabase:
         return False
 
     @property
-    def table(self) -> "Table":
-        """Deprecated: the triples as a relational table, built on each access."""
+    def table(self) -> Any:
+        """Deprecated: the triples as a relational ``Table``, built on each access."""
         message = "RawDatabase.table is deprecated and will be removed; iterate the RawDatabase"
         warnings.warn(message, DeprecationWarning, stacklevel=2)
-        from repro.store.schema import Column, Schema
-        from repro.store.table import Table
-
-        table = Table("raw_database", Schema(tuple(map(Column, _FIELDS)), key=_FIELDS))
-        table.insert_many(dict(zip(_FIELDS, key)) for key in self._triples)
-        return table
+        columns = tuple((field,) for field in _FIELDS)
+        return relational_table("raw_database", self._triples, columns, key=_FIELDS)
 
     @property
     def entities(self) -> list[EntityKey]:

@@ -1,9 +1,9 @@
-"""A named collection of tables.
+"""A named collection of tables (deprecated, like the rest of the seed's
+in-memory relational engine; see :mod:`repro.store`).
 
-:class:`Database` is the integration workspace: the pipeline registers the raw
-triple table, the derived fact table, the claim table and the output truth
-table under well-known names so that examples and tests can inspect every
-intermediate product of the integration run.
+The integration workspace is no longer a :class:`Database`:
+``run_integration(keep_workspace=True)`` returns the raw, fact, claim and
+truth relations as read-only numpy columns.
 """
 
 from __future__ import annotations

@@ -2,9 +2,8 @@
 
 A :class:`HashIndex` maps the value(s) of one or more columns to the list of
 row positions holding those values.  Indexes are maintained incrementally by
-:class:`repro.store.table.Table` on insert and delete, and are used by the
-claim-construction pipeline to look up, for example, all sources that asserted
-anything about a given entity.
+:class:`repro.store.table.Table` on insert and delete.  Deprecated with the
+rest of the in-memory relational engine (see :mod:`repro.store`).
 """
 
 from __future__ import annotations

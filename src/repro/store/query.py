@@ -1,9 +1,8 @@
 """Relational query operators over :class:`~repro.store.table.Table`.
 
 These operators are deliberately simple: they materialise their results as
-lists of dicts, which is all the claim-construction pipeline and the example
-applications need.  They exist so that the data-model code reads like the
-relational derivations of the paper (Definitions 1-4) instead of ad-hoc loops.
+lists of dicts.  Deprecated with the rest of the in-memory relational engine
+(see :mod:`repro.store`); no data path uses them.
 """
 
 from __future__ import annotations

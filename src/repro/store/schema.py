@@ -1,4 +1,4 @@
-"""Table schemas for the in-memory relational store.
+"""Table schemas for the in-memory relational store (deprecated; see :mod:`repro.store`).
 
 A :class:`Schema` is an ordered collection of typed :class:`Column`
 definitions plus an optional primary-key / unique-key declaration.  Schemas

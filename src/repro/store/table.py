@@ -1,4 +1,8 @@
-"""Row-oriented tables with schema validation, keys and secondary indexes."""
+"""Row-oriented tables with schema validation, keys and secondary indexes.
+
+Deprecated with the rest of the in-memory relational engine (see
+:mod:`repro.store`); no data path uses them.
+"""
 
 from __future__ import annotations
 
