@@ -52,12 +52,12 @@ __getattr__ = deprecated_getattr(
 # ---------------------------------------------------------------------------
 # Vectorized bulk ingest
 # ---------------------------------------------------------------------------
-def _factorize_first_seen(values: Sequence) -> tuple[np.ndarray, dict]:
+def _factorize_first_seen(values: Sequence) -> tuple[np.ndarray, list, int | None]:
     """Encode ``values`` as dense integer codes in first-seen order.
 
-    Returns ``(codes, uniques)``: ``uniques`` maps each distinct value to its
-    code, in order of first occurrence, so ``list(uniques)[codes[i]] ==
-    values[i]`` — ids are assigned in first-seen order.  Dictionary
+    Returns ``(codes, uniques, none_code)`` with ``uniques[codes[i]] ==
+    values[i]``, uniques ordered by first occurrence, and ``none_code`` the
+    code of ``None`` (``None`` when no value is ``None``).  Dictionary
     encoding beats a sort-based ``np.unique`` here because the raw columns
     are Python objects (strings, occasionally numbers); everything
     downstream then runs on the resulting dense int64 codes.
@@ -67,7 +67,7 @@ def _factorize_first_seen(values: Sequence) -> tuple[np.ndarray, dict]:
     codes = np.fromiter(
         (setdefault(v, len(mapping)) for v in values), count=len(values), dtype=np.int64
     )
-    return codes, mapping
+    return codes, list(mapping), mapping.get(None)
 
 
 def _rows_to_columns(rows: Sequence[Triple | tuple]) -> TripleColumns:
@@ -145,15 +145,14 @@ def _claims_from_columns(columns: TripleColumns, strict: bool) -> ClaimMatrix:
     num_triples = len(columns)
     if not num_triples:
         raise EmptyDatasetError("the raw database contains no triples")
-    ent_codes, ent_seen = _factorize_first_seen(entities)
-    attr_codes, attr_seen = _factorize_first_seen(attributes)
-    src_codes, src_seen = _factorize_first_seen(src_col)
-    # None is no entity, value or source: one dict lookup per column.
-    for column, seen in ((entities, ent_seen), (attributes, attr_seen), (src_col, src_seen)):
-        if None in seen:
-            row = list(column).index(None)
+    ent_codes, _, ent_none = _factorize_first_seen(entities)
+    attr_codes, _, attr_none = _factorize_first_seen(attributes)
+    src_codes, source_names, src_none = _factorize_first_seen(src_col)
+    # None is no entity, value or source.
+    for codes, none_code in ((ent_codes, ent_none), (attr_codes, attr_none), (src_codes, src_none)):
+        if none_code is not None:
+            row = int(np.argmax(codes == none_code))
             raise none_field_error((entities[row], attributes[row], src_col[row]))
-    source_names = list(src_seen)
     num_sources = len(source_names)
 
     # Facts: first-seen (entity, attribute) pairs, in triple order.
