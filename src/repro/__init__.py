@@ -68,7 +68,7 @@ Quickstart
 True
 """
 
-from repro._deprecation import deprecated_getattr
+from repro._deprecation import CLAIM_TABLE_BUILDER, deprecated_getattr
 from repro.types import Triple
 from repro.data import (
     ClaimMatrix,
@@ -237,6 +237,4 @@ __all__ = [
     "IntegrationResult",
 ]
 
-__getattr__ = deprecated_getattr(
-    __name__, {"ClaimTableBuilder": ("repro.data.claim_tables", "use build_claim_matrix")}
-)
+__getattr__ = deprecated_getattr(__name__, CLAIM_TABLE_BUILDER)

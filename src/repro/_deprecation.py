@@ -13,6 +13,10 @@ import sys
 import warnings
 from typing import Any, Callable, Iterable
 
+#: Deprecated names served by more than one module: ``name -> (home, advice)``.
+CLAIM_TABLE_BUILDER = {"ClaimTableBuilder": ("repro.data.claim_tables", "use build_claim_matrix")}
+TABLE_SOURCE = {"TableSource": ("repro.io.table_source", "use MemorySource over the triples")}
+
 
 def deprecated_getattr(module: str, names: dict[str, tuple[str, str]]) -> Callable[[str], Any]:
     """The ``__getattr__`` of ``module``: ``names`` maps a name to its home module and advice."""

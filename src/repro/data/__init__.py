@@ -19,7 +19,7 @@ flat numpy encoding of the claim table grouped by fact, which every solver in
 ``ClaimTableBuilder`` still resolves here, with a warning.
 """
 
-from repro._deprecation import deprecated_getattr
+from repro._deprecation import CLAIM_TABLE_BUILDER, deprecated_getattr
 from repro.data.records import Fact, Claim, SourceRecord
 from repro.data.raw import RawDatabase
 from repro.data.claim_builder import build_claim_matrix
@@ -49,6 +49,4 @@ __all__ = [
     "save_labels_csv",
 ]
 
-__getattr__ = deprecated_getattr(
-    __name__, {"ClaimTableBuilder": ("repro.data.claim_tables", "use build_claim_matrix")}
-)
+__getattr__ = deprecated_getattr(__name__, CLAIM_TABLE_BUILDER)

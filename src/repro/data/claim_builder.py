@@ -31,7 +31,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro._deprecation import deprecated_getattr
+from repro._deprecation import CLAIM_TABLE_BUILDER, deprecated_getattr
 from repro.data.dataset import ClaimMatrix, TruthDataset
 from repro.data.raw import RawDatabase, none_field_error
 from repro.data.records import Fact
@@ -44,9 +44,7 @@ __all__ = [
     "bulk_build_claim_matrix",
 ]
 
-__getattr__ = deprecated_getattr(
-    __name__, {"ClaimTableBuilder": ("repro.data.claim_tables", "use build_claim_matrix")}
-)
+__getattr__ = deprecated_getattr(__name__, CLAIM_TABLE_BUILDER)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ Quickstart::
     8
 """
 
-from repro._deprecation import deprecated_getattr
+from repro._deprecation import TABLE_SOURCE, deprecated_getattr
 from repro.io.base import DataSource, SourceSchema
 from repro.io.partition import entity_partition_key, seeded_entity_order
 from repro.io.sources import (
@@ -70,6 +70,4 @@ __all__ = [
     "seeded_entity_order",
 ]
 
-__getattr__ = deprecated_getattr(
-    __name__, {"TableSource": ("repro.io.table_source", "use MemorySource over the triples")}
-)
+__getattr__ = deprecated_getattr(__name__, TABLE_SOURCE)

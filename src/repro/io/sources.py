@@ -22,7 +22,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
-from repro._deprecation import deprecated_getattr
+from repro._deprecation import TABLE_SOURCE, deprecated_getattr
 from repro.data.claim_builder import bulk_build_claim_matrix
 from repro.data.dataset import ClaimMatrix, TruthDataset
 from repro.data.loaders import (
@@ -45,9 +45,7 @@ __all__ = [
 ]
 
 
-__getattr__ = deprecated_getattr(
-    __name__, {"TableSource": ("repro.io.table_source", "use MemorySource over the triples")}
-)
+__getattr__ = deprecated_getattr(__name__, TABLE_SOURCE)
 
 
 def _as_triple(item: Triple | tuple) -> Triple:
